@@ -4,7 +4,8 @@ Every report carries machine-readable provenance tags naming the result
 that licensed each bound, so downstream output can state *why* a number
 is true without re-deriving it.  All arithmetic is exact: the box bound's
 rearrangement constant d + 1/d - 1 is evaluated as a rational before the
-floor is taken.
+floor is taken, and the logarithm in the group bound is bracketed between
+rationals until its floor is certain.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from math import gcd
 
 from .core import (
     Box,
+    Element,
     Explicit,
     GroundSet,
     GroupProduct,
     GroupSpec,
     Interval,
     ValidationError,
+    box,
 )
 
 
@@ -142,6 +145,48 @@ def hypercube_bounds(m: int, d: int) -> BoundReport:
     return BoundReport(lower, upper, lower == upper, tags)
 
 
+def _ln_bracket(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= ln x <= hi for rational x >= 1.
+
+    Writes x = 2^k r with 1 <= r < 2 and sums ``terms`` terms of
+    ln y = 2 atanh((y-1)/(y+1)) = 2 sum t^(2i+1)/(2i+1) for y = 2 and
+    y = r.  The terms are positive, so a partial sum is a lower bound,
+    and the tail is at most 2 t^(2n+1) / ((2n+1)(1 - t^2)).
+    """
+    k = 0
+    while x >= 2:
+        x /= 2
+        k += 1
+
+    def ln(y: Fraction) -> tuple[Fraction, Fraction]:
+        t = (y - 1) / (y + 1)
+        lo = 2 * sum(t ** (2 * i + 1) / (2 * i + 1) for i in range(terms))
+        tail = 2 * t ** (2 * terms + 1) / ((2 * terms + 1) * (1 - t * t))
+        return lo, lo + tail
+
+    lo2, hi2 = ln(Fraction(2))
+    lor, hir = ln(x)
+    return k * lo2 + lor, k * hi2 + hir
+
+
+def log_upper(order: int, exponent: int) -> int:
+    """floor((1 + ln(order / exponent)) exponent) for order > exponent, in
+    exact arithmetic.
+
+    The bracket on the logarithm is refined until the floors of its two
+    ends agree.  This ends because the logarithm of a rational q > 1 is
+    irrational, so exponent * ln q is not an integer.
+    """
+    q = Fraction(order, exponent)
+    terms = 4
+    while True:
+        lo, hi = _ln_bracket(q, terms)
+        floor_lo = math.floor(exponent * lo)
+        if floor_lo == math.floor(exponent * hi):
+            return exponent + floor_lo
+        terms *= 2
+
+
 def group_davenport(G: GroupSpec) -> BoundReport:
     """Davenport constant of a finite abelian group from its invariant
     factors: exact for cyclic groups (the order), for rank <= 2 and for
@@ -154,7 +199,7 @@ def group_davenport(G: GroupSpec) -> BoundReport:
         return BoundReport(lower, lower, True, ("group-rank-two-exact",))
     if G.is_p_group:
         return BoundReport(lower, lower, True, ("group-p-group-exact",))
-    upper = math.floor((1 + math.log(G.order / G.exponent)) * G.exponent)
+    upper = log_upper(G.order, G.exponent)
     return BoundReport(
         lower, upper, lower == upper, ("group-factor-sum-lower", "group-log-upper")
     )
@@ -174,8 +219,32 @@ def _symmetric_cube_shape(ground: GroundSet) -> tuple[int, int] | None:
     return None
 
 
+def drop_zero_axes(ground: GroundSet) -> GroundSet:
+    """The projection of ``ground`` onto its axes that are not identically
+    zero.  Projection maps atoms to atoms of the same length, one to one,
+    so both sets share every Davenport bound.  A set whose every axis is
+    zero is {0}, returned as the interval [0,0]."""
+    if isinstance(ground, GroupProduct):
+        base = drop_zero_axes(ground.base)
+        return ground if base is ground.base else GroupProduct(ground.group, base)
+    if isinstance(ground, Box):
+        keep = [iv for iv in ground.intervals if iv != (0, 0)]
+        if len(keep) == len(ground.intervals):
+            return ground
+        return box(keep) if keep else Interval(0, 0)
+    if isinstance(ground, Explicit) and ground.dim > 1:
+        axes = [c for c in range(ground.dim) if any(e.coords[c] for e in ground.elements)]
+        if len(axes) == ground.dim:
+            return ground
+        if not axes:
+            return Interval(0, 0)
+        return Explicit(tuple(Element(tuple(e.coords[c] for c in axes)) for e in ground.elements))
+    return ground
+
+
 def ground_bounds(ground: GroundSet) -> BoundReport:
     """Best closed-form bracket for a ground set, by shape."""
+    ground = drop_zero_axes(ground)
     if isinstance(ground, GroupProduct):
         return product_bounds(ground.group, ground.base)
     if isinstance(ground, Interval):

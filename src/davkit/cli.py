@@ -383,7 +383,11 @@ def _cmd_verify(spec: JobSpec):
 
 def _cmd_hunt_chi_gap(spec: JobSpec):
     p = spec.parameters
-    report = _search.hunt_chi_gap(int(p.get("abs") or 3), int(p.get("max_size") or 3))
+    report = _search.hunt_chi_gap(
+        int(p.get("abs") or 3),
+        int(p.get("max_size") or 3),
+        threads=_resolve_threads(spec.threads, None),
+    )
     return EXIT_OK, report, ["exploration"], True, None
 
 

@@ -773,6 +773,13 @@ def sequence_to_json(s: Sequence) -> dict:
 _TERM_RE = re.compile(r"(?P<elem>.+?)(?:\^(?P<mult>\d+))?$")
 
 
+def _parse_ints(text: str, whole: str, pos: int) -> tuple[int, ...]:
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise ParseError(f"bad element {whole!r}", pos) from None
+
+
 def _parse_element(text: str, pos: int, group: GroupSpec | None) -> AnyElement:
     if text.startswith("("):
         if not text.endswith(")"):
@@ -782,11 +789,16 @@ def _parse_element(text: str, pos: int, group: GroupSpec | None) -> AnyElement:
             if group is None:
                 raise ParseError("mixed element needs a group context", pos)
             gtext, _, vtext = body.partition("|")
-            residues = tuple(int(r) for r in gtext.split(",")) if gtext else ()
-            coords = tuple(int(c) for c in vtext.split(","))
+            residues = _parse_ints(gtext, text, pos) if gtext else ()
+            if len(residues) != group.rank:
+                raise ParseError(
+                    f"element {text!r} has {len(residues)} residues, the group has rank {group.rank}",
+                    pos,
+                )
+            coords = _parse_ints(vtext, text, pos)
             residues = tuple(r % n for r, n in zip(residues, group.factors))
             return MixedElement(group, residues, Element(coords))
-        return Element(tuple(int(c) for c in body.split(",")))
+        return Element(_parse_ints(body, text, pos))
     try:
         return Element((int(text),))
     except ValueError:

@@ -33,8 +33,18 @@ no longer return to zero within the remaining depth (per-coordinate,
 using suffix extrema of the element list); this kills the single-sign
 cones that otherwise dominate the tree.
 
-The search is exhaustive to the proven length bound, hence its results
-are exact values, not estimates.
+Early stop
+----------
+In 'dav' mode the search depth is the proven length bound (or a smaller
+cap), so an atom whose length equals the depth is a longest atom: no
+atom within the depth is longer.  The search stops at the first such
+atom.  Orderly generation visits multisets of equal length in increasing
+canonical-key order, so that first atom is also the deterministic witness
+(smallest key among the longest atoms) that the full tree would select.
+When no atom reaches the depth the tree is exhausted, and its longest
+atom is again exact up to the depth.  Either way the results are exact
+values, not estimates; only the node, prune and closure counts depend on
+where the search stopped.  Modes 'len' and 'all' never stop early.
 """
 
 from __future__ import annotations
@@ -73,11 +83,12 @@ class SearchStats:
 class DavenportResult:
     """Exact value or proven bracket for the largest atom length.
 
-    ``exact`` means the search ran to the full proven length bound, so
+    ``exact`` means the search depth was the full proven length bound, so
     lower == upper == the Davenport constant; otherwise ``lower`` is the
-    longest atom found within the requested depth and ``upper`` the best
-    proven bound.  ``witness`` is an atom of length ``lower`` whenever
-    lower >= 1.
+    longest atom within the requested depth and ``upper`` the best proven
+    bound.  ``witness`` is the longest atom with the smallest canonical key
+    whenever lower >= 1.  ``stats`` counts only the nodes visited before
+    the search stopped (see the module docstring).
     """
 
     lower: int
@@ -97,8 +108,9 @@ def length_bound(ground: GroundSet) -> int:
     Dimension 1 uses the diameter (0 or 1 for single-sign sets); higher
     dimensions use the rearrangement-based product bound over the tightest
     enclosing symmetric box; group products multiply the group bound by
-    the base bound.
+    the base bound.  Axes that are identically zero are dropped first.
     """
+    ground = _bounds.drop_zero_axes(ground)
     if isinstance(ground, GroupProduct):
         return _bounds.group_davenport(ground.group).upper * length_bound(ground.base)
     if isinstance(ground, Interval):
@@ -128,6 +140,7 @@ def length_bound(ground: GroundSet) -> int:
 
 def _refined_upper(ground: GroundSet, bound: int) -> int:
     """Best proven upper bound for reporting an inexact result."""
+    ground = _bounds.drop_zero_axes(ground)
     if isinstance(ground, Box) and ground.dim == 2:
         m1, m2 = (max(abs(lo), abs(hi)) for lo, hi in ground.intervals)
         return min(bound, _bounds.square_upper(m1, m2))
@@ -221,6 +234,10 @@ def _closable(total, j, T, sufmin, sufmax, d) -> bool:
 _PROGRESS_STRIDE = 1 << 17
 
 
+class _DepthReached(Exception):
+    """A 'dav' search found an atom as long as its depth: the answer is final."""
+
+
 def _search_sequential(
     space: _Space,
     depth_cap: int,
@@ -231,7 +248,9 @@ def _search_sequential(
 ):
     """Explore the orderly multiset tree; see the module docstring.
 
-    mode 'dav'  - track the longest atom (deterministic tie-break);
+    mode 'dav'  - track the longest atom (the first found, which has the
+                  smallest key), and stop at the first atom of length
+                  ``depth_cap``;
     mode 'len'  - collect atoms of length exactly ``target``;
     mode 'all'  - collect every atom of length <= depth_cap.
 
@@ -253,30 +272,25 @@ def _search_sequential(
     counts = [0] * k
     collected: list[tuple[int, ...]] = []
     best_len = 0
-    best_key: tuple | None = None
     best_counts: tuple[int, ...] | None = None
     nodes = prunes = closures = 0
     t0 = perf_counter()
 
     def emit(length: int):
-        nonlocal best_len, best_key, best_counts
+        nonlocal best_len, best_counts
         if mode == "len":
             if length == target:
                 collected.append(tuple(counts))
             return
         if mode == "all":
             collected.append(tuple(counts))
+        # equal lengths arrive in increasing key order, so the first atom
+        # of the longest length is the witness
         if length > best_len:
             best_len = length
             best_counts = tuple(counts)
-            best_key = None
-        elif length == best_len and best_counts is not None:
-            if best_key is None:
-                best_key = space.flat_key(best_counts)
-            key = space.flat_key(counts)
-            if key < best_key:
-                best_counts = tuple(counts)
-                best_key = key
+            if mode == "dav" and length == depth_cap:
+                raise _DepthReached
 
     if group is None:
         # pure-lattice fast path: masks are two plain integers
@@ -317,23 +331,24 @@ def _search_sequential(
                 rec(j, nd, nt, nm1, nm2)
                 counts[j] -= 1
 
-        lo, hi = root_range if root_range else (0, k)
-        for j0 in range(lo, hi):
-            # subtree whose first (smallest) element is elems[j0]
-            nodes += 1
-            nt = tuple(lcoords[j0])
-            if not any(nt):
-                closures += 1
+        def roots(lo: int, hi: int):
+            nonlocal nodes, prunes, closures
+            for j0 in range(lo, hi):
+                # subtree whose first (smallest) element is elems[j0]
+                nodes += 1
+                nt = tuple(lcoords[j0])
+                if not any(nt):
+                    closures += 1
+                    counts[j0] += 1
+                    emit(1)
+                    counts[j0] -= 1
+                    continue
+                if depth_cap <= 1 or not _closable(nt, j0, depth_cap - 1, sufmin, sufmax, d):
+                    prunes += 1
+                    continue
                 counts[j0] += 1
-                emit(1)
+                rec(j0, 1, nt, 1 << (offset + deltas[j0]), 0)
                 counts[j0] -= 1
-                continue
-            if depth_cap <= 1 or not _closable(nt, j0, depth_cap - 1, sufmin, sufmax, d):
-                prunes += 1
-                continue
-            counts[j0] += 1
-            rec(j0, 1, nt, 1 << (offset + deltas[j0]), 0)
-            counts[j0] -= 1
     else:
         gadd = group.add
         gneg = group.neg
@@ -386,27 +401,32 @@ def _search_sequential(
                 rec_mixed(j, nd, ngt, nlt, new)
                 counts[j] -= 1
 
-        lo, hi = root_range if root_range else (0, k)
-        for j0 in range(lo, hi):
-            nodes += 1
-            lc = lcoords[j0]
-            h = gparts[j0]
-            nlt = tuple(lc)
-            if h == identity and not any(nlt):
-                closures += 1
+        def roots(lo: int, hi: int):
+            nonlocal nodes, prunes, closures
+            for j0 in range(lo, hi):
+                nodes += 1
+                lc = lcoords[j0]
+                h = gparts[j0]
+                nlt = tuple(lc)
+                if h == identity and not any(nlt):
+                    closures += 1
+                    counts[j0] += 1
+                    emit(1)
+                    counts[j0] -= 1
+                    continue
+                if depth_cap <= 1 or not _closable(nlt, j0, depth_cap - 1, sufmin, sufmax, d):
+                    prunes += 1
+                    continue
+                delta = deltas[j0]
+                masks0 = {h: (1 << (offset + delta), 0)}
                 counts[j0] += 1
-                emit(1)
+                rec_mixed(j0, 1, h, nlt, masks0)
                 counts[j0] -= 1
-                continue
-            if depth_cap <= 1 or not _closable(nlt, j0, depth_cap - 1, sufmin, sufmax, d):
-                prunes += 1
-                continue
-            delta = deltas[j0]
-            masks0 = {h: (1 << (offset + delta), 0)}
-            counts[j0] += 1
-            rec_mixed(j0, 1, h, nlt, masks0)
-            counts[j0] -= 1
 
+    try:
+        roots(*(root_range or (0, k)))
+    except _DepthReached:
+        pass
     elapsed = perf_counter() - t0
     return best_len, best_counts, collected, (nodes, prunes, closures, elapsed)
 
@@ -442,24 +462,26 @@ def _run_search(
     tasks = [(text, depth_cap, mode, target, j0) for j0 in range(k)]
     best_len = 0
     best_counts = None
-    best_key = None
     collected = []
     stats = SearchStats()
     with ProcessPoolExecutor(max_workers=min(threads, k)) as pool:
-        # merge is order-independent: max length, then smallest flattened key
-        for blen, bcounts, coll, st in pool.map(_parallel_task, tasks):
+        # merge in root order, as the sequential run visits them.  A 'dav'
+        # root that reaches the depth ends that run too, so the roots after
+        # it are not summed, and those not yet started are cancelled.
+        results = pool.map(_parallel_task, tasks)
+        for blen, bcounts, coll, st in results:
             collected.extend(coll)
             stats.nodes += st[0]
             stats.prunes += st[1]
             stats.closures += st[2]
             stats.elapsed = max(stats.elapsed, st[3])
-            if bcounts is None:
-                continue
-            key = space.flat_key(bcounts)
-            if blen > best_len or (blen == best_len and (best_key is None or key < best_key)):
-                best_len = blen
-                best_counts = bcounts
-                best_key = key
+            # every key of root j0 starts with elems[j0]'s key, so a tie
+            # keeps the earlier root's witness
+            if blen > best_len:
+                best_len, best_counts = blen, bcounts
+            if mode == "dav" and blen == depth_cap:
+                results.close()
+                break
     return space, best_len, best_counts, collected, stats
 
 
@@ -475,9 +497,11 @@ def davenport(
 ) -> DavenportResult:
     """The Davenport constant of a finite ground set, by exhaustive search.
 
-    ``cap`` may lower (never raise) the search depth; a capped search
-    reports exact=False with the longest atom found as the lower bound.
-    Results are deterministic, independent of ``threads``.
+    The depth is the proven ``length_bound``; ``cap`` may lower (never
+    raise) it, and a capped search reports exact=False with the longest
+    atom found as the lower bound.  The search stops at the first atom as
+    long as the depth, or else exhausts the tree.  Results are
+    deterministic and, stats included, independent of ``threads``.
     """
     t0 = perf_counter()
     bound = length_bound(ground)

@@ -1,3 +1,5 @@
+import math
+from decimal import Decimal, getcontext
 from math import gcd
 
 import pytest
@@ -17,6 +19,7 @@ from davkit import (
     product_bounds,
     square_upper,
 )
+from davkit.bounds import log_upper
 
 
 class TestChiDiam:
@@ -107,6 +110,21 @@ class TestGroupDavenport:
         assert not r.exact
         assert r.lower == 8 and r.upper == 14
 
+    def test_log_upper_of_rank_three(self):
+        # floor((1 + ln 12) 6) = floor(20.909...)
+        r = group_davenport(GroupSpec((2, 6, 6)))
+        assert (r.lower, r.upper) == (12, 20)
+        assert r.provenance == ("group-factor-sum-lower", "group-log-upper")
+
+    def test_log_upper_against_decimal_logarithm(self):
+        # an independent 50-digit logarithm; none of these products sits
+        # within 1e-40 of an integer
+        getcontext().prec = 50
+        for exponent in range(2, 31):
+            for q in range(2, 41):
+                want = math.floor((1 + Decimal(q).ln()) * exponent)
+                assert log_upper(q * exponent, exponent) == want, (q, exponent)
+
     def test_search_matches_for_small_cyclic(self):
         for n in range(2, 9):
             want = group_davenport(GroupSpec((n,))).value
@@ -142,6 +160,9 @@ class TestGroundBounds:
             ("{-2,3}", 5, 5),
             ("[-1,1]^2", 4, 4),
             ("C2x[-2,2]", 6, 6),
+            ("[-1,1]x[0,0]", 2, 2),
+            ("{(0,0)}", 1, 1),
+            ("{(2,0),(-1,0)}", 3, 3),
         ],
     )
     def test_shapes(self, text, lower, upper):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from davkit import search as _search
 from davkit.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -179,11 +180,37 @@ class TestHuntChiGap:
         report = json.loads(out)
         assert report["result"]["gaps"] == []
 
+    def test_threads_reach_the_search(self, capsys, monkeypatch):
+        seen = []
+        real = _search.hunt_chi_gap
+
+        def spy(max_abs, max_size, threads=1):
+            seen.append(threads)
+            return real(max_abs, max_size, threads=threads)
+
+        monkeypatch.setattr(_search, "hunt_chi_gap", spy)
+        _, one, _ = run_cli(capsys, "hunt-chi-gap", "--abs", "2", "--max-size", "3", "--threads", "1")
+        _, two, _ = run_cli(capsys, "hunt-chi-gap", "--abs", "2", "--max-size", "3", "--threads", "2")
+        assert seen == [1, 2]
+        assert one == two
+
 
 class TestErrorsAndSpec:
     def test_parse_error_is_usage(self, capsys):
         code, _, err = run_cli(capsys, "davenport", "[3,-2]")
         assert code == EXIT_USAGE and "lo > hi" in err
+
+    def test_bad_sequence_token_is_usage(self, capsys):
+        code, _, err = run_cli(capsys, "check-minimal", "--seq", "(a,1)")
+        assert code == EXIT_USAGE and err.startswith("error:") and "position 0" in err
+
+    def test_residue_tuple_longer_than_rank_is_usage(self, capsys):
+        code, _, err = run_cli(capsys, "check-minimal", "C2x[-1,1]", "--seq", "(1,1|1)")
+        assert code == EXIT_USAGE and "residues" in err
+
+    def test_degenerate_axis_computes(self, capsys):
+        code, out, _ = run_cli(capsys, "davenport", "[-1,1]x[0,0]", "--no-stats")
+        assert code == EXIT_OK and json.loads(out)["result"]["value"] == 2
 
     def test_guard_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("DAVKIT_GUARD", "3")

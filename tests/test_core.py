@@ -133,6 +133,29 @@ class TestSequence:
         s = parse_sequence("(1|1)^2*(0|-1)^2", group=g)
         assert s.length == 4 and s.is_mixed
 
+    @pytest.mark.parametrize(
+        "text,factors,position",
+        [
+            ("(a,1)", None, 0),
+            ("3*(a|1)", (2,), 2),
+            ("(1|a)", (2,), 0),
+            ("()", None, 0),
+            ("1*(1,,2)^2", None, 2),
+        ],
+    )
+    def test_bad_token_in_parentheses(self, text, factors, position):
+        group = GroupSpec(factors) if factors else None
+        with pytest.raises(ParseError) as info:
+            parse_sequence(text, group=group)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize(
+        "text,factors", [("(1,1|1)", (2,)), ("(|1)", (2,)), ("(1|0)", (2, 2))]
+    )
+    def test_residue_count_must_match_rank(self, text, factors):
+        with pytest.raises(ParseError, match="residues"):
+            parse_sequence(text, group=GroupSpec(factors))
+
     def test_power_and_neg(self):
         s = S({3: 2, -2: 3})
         assert s.power(2).length == 10

@@ -36,6 +36,8 @@ class TestLengthBound:
             ("{-2,-1}", 0),
             ("{0}", 1),
             ("C3x[-2,2]", 12),
+            ("[-1,1]x[0,0]", 2),
+            ("{(0,0)}", 1),
         ],
     )
     def test_values(self, text, expected):
@@ -52,6 +54,14 @@ class TestDavenport:
             ("{0}", 1),
             ("{1}", 0),
             ("[-1,1]^2", 4),
+            # axes that are identically zero do not change the value
+            ("[-1,1]x[0,0]", 2),
+            ("[0,0]x[-1,1]", 2),
+            ("{(1,0),(-1,0)}", 2),
+            ("{(0,0)}", 1),
+            ("[0,0]^3", 1),
+            ("[-1,1]x[0,0]x[-1,1]", 4),
+            ("C3x{(1,0),(-1,0)}", 6),
         ],
     )
     def test_exact_values(self, text, expected):
@@ -70,6 +80,11 @@ class TestDavenport:
         assert r.lower == 3 and r.upper == 6
         assert is_minimal(r.witness) and r.witness.length == 3
 
+    def test_cap_with_zero_axis(self):
+        # the upper bound of a capped run is that of [-2,2], its diameter
+        r = davenport(parse_ground_set("[-2,2]x[0,0]"), cap=2)
+        assert (r.lower, r.upper, r.exact) == (2, 4, False)
+
     def test_cap_at_bound_still_exact(self):
         r = davenport(Interval(-2, 3), cap=100)
         assert r.exact and r.lower == 5
@@ -87,6 +102,39 @@ class TestDavenport:
         b = davenport(parse_ground_set("C2x[-2,2]"), threads=3)
         assert (a.lower, a.upper, a.exact, a.witness) == (b.lower, b.upper, b.exact, b.witness)
         assert (a.stats.nodes, a.stats.prunes) == (b.stats.nodes, b.stats.prunes)
+
+
+class TestEarlyStop:
+    """A 'dav' search ends at its first atom as long as the depth."""
+
+    @pytest.mark.parametrize("text,cap", [("C5x[-1,1]", None), ("[-2,3]", None), ("[-2,2]^2", 8)])
+    def test_full_result_independent_of_threads(self, text, cap):
+        ground = parse_ground_set(text)
+        a = davenport(ground, cap=cap, threads=1)
+        b = davenport(ground, cap=cap, threads=2)
+        # these searches stop early: an atom reaches the depth
+        assert a.lower == (cap or length_bound(ground))
+        a.stats.elapsed = b.stats.elapsed = 0.0
+        assert a == b
+
+    @pytest.mark.parametrize(
+        "text,cap", [("[-3,4]", None), ("C3x[-1,1]", None), ("{-3,-1,2}", None), ("[-1,1]^2", 3)]
+    )
+    def test_witness_is_first_longest_atom(self, text, cap):
+        # all_atoms never stops early and sorts by (length, canonical key)
+        ground = parse_ground_set(text)
+        r = davenport(ground, cap=cap)
+        atoms = all_atoms(ground, max_len=cap)
+        longest = max(a.length for a in atoms)
+        assert r.lower == longest
+        assert r.witness == next(a for a in atoms if a.length == longest)
+
+    def test_node_count_pinned(self):
+        # the full tree to the depth 12 has 37,272 nodes; the first root's
+        # leftmost branch already reaches an atom of length 12
+        r = davenport(parse_ground_set("C6x[-1,1]"))
+        assert r.exact and r.lower == 12
+        assert r.stats.nodes == 12
 
 
 class TestAtomsOfLength:
