@@ -721,36 +721,7 @@ def emit_ground_set(ground: GroundSet) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs (tagged unions mirroring the grammar)
-
-
-def ground_set_to_json(ground: GroundSet) -> dict:
-    if isinstance(ground, Interval):
-        return {"type": "interval", "lo": ground.lo, "hi": ground.hi}
-    if isinstance(ground, Box):
-        return {"type": "box", "intervals": [list(iv) for iv in ground.intervals]}
-    if isinstance(ground, Explicit):
-        return {"type": "explicit", "elements": [list(e.coords) for e in ground.elements]}
-    if isinstance(ground, GroupProduct):
-        return {
-            "type": "group_product",
-            "group": list(ground.group.factors),
-            "base": ground_set_to_json(ground.base),
-        }
-    raise ValidationError(f"unknown ground set {ground!r}")
-
-
-def ground_set_from_json(data: dict) -> GroundSet:
-    kind = data.get("type")
-    if kind == "interval":
-        return Interval(int(data["lo"]), int(data["hi"]))
-    if kind == "box":
-        return box([tuple(iv) for iv in data["intervals"]])
-    if kind == "explicit":
-        return Explicit(tuple(Element(tuple(c)) for c in data["elements"]))
-    if kind == "group_product":
-        return GroupProduct(GroupSpec(tuple(data["group"])), ground_set_from_json(data["base"]))
-    raise ParseError(f"unknown ground-set type {kind!r}")
+# JSON output
 
 
 def element_to_json(e: AnyElement):

@@ -28,10 +28,20 @@ For group products the masks are keyed by group residue tuple; shifting
 moves lattice sums while the key tracks the modular component, so the same
 invariants hold verbatim.
 
-A cheap per-branch feasibility cut discards nodes whose lattice total can
-no longer return to zero within the remaining depth (per-coordinate,
-using suffix extrema of the element list); this kills the single-sign
-cones that otherwise dominate the tree.
+A cheap per-branch feasibility cut keeps a node only while its lattice
+total t can still return to zero within the T elements left: elements of
+index >= j move axis c up by at most A_c = max(0, max e_c) and down by at
+most B_c = max(0, -min e_c), so -T*A_c <= t_c <= T*B_c on every axis.
+This kills the single-sign cones that would otherwise dominate the tree.
+The total is one guarded integer x = sum_c t_c << s_c, where field c has
+w_c = (2*depth*max|e_c| + 1).bit_length() bits and a guard bit above them
+(H is the OR of the guard bits).  As |t_c + T*A_c| <= 2*depth*max|e_c| <
+2^w_c, field c of x + H + T*sum_c A_c << s_c is t_c + T*A_c + 2^w_c, in
+(0, 2^(w_c+1)): no field borrows or carries, and its guard bit is set iff
+t_c >= -T*A_c.  H + T*sum_c B_c << s_c - x tests t_c <= T*B_c alike, and
+x == 0 iff t == 0.  With both tables precomputed per (T, j), every node
+takes the per-axis decisions, hence the node, prune and closure counts, of
+separate comparisons.  The reachability masks keep their dense packing.
 
 Early stop
 ----------
@@ -57,6 +67,7 @@ from time import perf_counter
 from . import bounds as _bounds
 from .core import (
     Box,
+    ConsistencyError,
     Element,
     Explicit,
     GroundSet,
@@ -69,6 +80,7 @@ from .core import (
     enumerate_elements,
     parse_ground_set,
 )
+from .zerosum import is_minimal
 
 
 @dataclass
@@ -151,8 +163,20 @@ def _refined_upper(ground: GroundSet, bound: int) -> int:
 # search space preparation
 
 
+class _Rows(dict):
+    """Row T is ``[guards + T * u for u in steps]``, built on first use."""
+
+    def __init__(self, guards: int, steps: list[int]):
+        super().__init__()
+        self.guards, self.steps = guards, steps
+
+    def __missing__(self, T: int) -> list[int]:
+        row = self[T] = [self.guards + T * u for u in self.steps]
+        return row
+
+
 class _Space:
-    """Element tables, bit packing, and suffix extrema for one search."""
+    """Element tables, bit packings, and closability tables for one search."""
 
     def __init__(self, ground: GroundSet, depth_cap: int):
         elems = enumerate_elements(ground)
@@ -166,30 +190,44 @@ class _Space:
             self.group = None
             self.gparts = [()] * len(elems)
             lcoords = [e.coords for e in elems]
-        self.lcoords = lcoords
         d = len(lcoords[0])
-        self.d = d
-        # Strides sized so every sub-multiset sum of <= depth_cap elements
-        # packs uniquely; all bit indices stay non-negative via the offset.
-        half = [depth_cap * max(abs(v[c]) for v in lcoords) + 1 for c in range(d)]
+        # |sum_c| <= reach[c] for every sub-multiset of <= depth_cap elements
+        reach = [depth_cap * max(abs(v[c]) for v in lcoords) for c in range(d)]
+        # Reachability masks: strides sized so every such sum packs uniquely;
+        # all bit indices stay non-negative via the offset.
         strides = [1] * d
         for c in range(1, d):
-            strides[c] = strides[c - 1] * (2 * half[c - 1] + 1)
-        self.offset = sum(half[c] * strides[c] for c in range(d))
-        self.deltas = [
-            sum(v[c] * strides[c] for c in range(d)) for v in lcoords
-        ]
+            strides[c] = strides[c - 1] * (2 * reach[c - 1] + 3)
+        self.offset = sum((reach[c] + 1) * strides[c] for c in range(d))
+        self.deltas = [sum(v[c] * strides[c] for c in range(d)) for v in lcoords]
+        # guarded totals (see the module docstring): field c starts at shifts[c]
+        shifts = [0] * d
+        guards = 0
+        for c in range(d):
+            w = (2 * reach[c] + 1).bit_length()
+            guards |= 1 << (shifts[c] + w)
+            if c + 1 < d:
+                shifts[c + 1] = shifts[c] + w + 1
+        self.guards = guards
+        self.shifts = shifts
+        self.packed = [self.pack(v) for v in lcoords]
+        # up[j] / down[j] pack how far elements >= j move each axis up / down;
+        # rows are built on first use, so memory follows the depth reached
         k = len(elems)
-        self.sufmin = [[0] * d for _ in range(k)]
-        self.sufmax = [[0] * d for _ in range(k)]
+        up, down = [0] * k, [0] * k
+        hi, lo = [0] * d, [0] * d
         for j in range(k - 1, -1, -1):
             for c in range(d):
-                lo = hi = lcoords[j][c]
-                if j + 1 < k:
-                    lo = min(lo, self.sufmin[j + 1][c])
-                    hi = max(hi, self.sufmax[j + 1][c])
-                self.sufmin[j][c] = lo
-                self.sufmax[j][c] = hi
+                hi[c] = max(hi[c], lcoords[j][c])
+                lo[c] = min(lo[c], lcoords[j][c])
+            up[j] = self.pack(hi)
+            down[j] = -self.pack(lo)
+        self.CL = _Rows(guards, up)
+        self.CR = _Rows(guards, down)
+
+    def pack(self, total) -> int:
+        """The guarded packing of a lattice total."""
+        return sum(t << s for t, s in zip(total, self.shifts))
 
     def sequence_from_counts(self, counts) -> Sequence:
         return Sequence.from_pairs(
@@ -208,24 +246,6 @@ class _Space:
                 )
                 out.extend([key] * c)
         return tuple(out)
-
-
-def _closable(total, j, T, sufmin, sufmax, d) -> bool:
-    """Necessary condition for the lattice total to return to zero within
-    1..T further elements drawn from indices >= j."""
-    smin = sufmin[j]
-    smax = sufmax[j]
-    for c in range(d):
-        tc = total[c]
-        if tc > 0:
-            lo = smin[c]
-            if lo >= 0 or tc + T * lo > 0:
-                return False
-        elif tc < 0:
-            hi = smax[c]
-            if hi <= 0 or tc + T * hi < 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +278,13 @@ def _search_sequential(
     ``collected`` is a list of multiplicity tuples over space.elems.
     """
     k = len(space.elems)
-    d = space.d
     deltas = space.deltas
     offset = space.offset
     zero_bit = 1 << offset
-    lcoords = space.lcoords
-    sufmin = space.sufmin
-    sufmax = space.sufmax
+    packed = space.packed
+    H = space.guards
+    CL = space.CL
+    CR = space.CR
     group = space.group
     gparts = space.gparts
     identity = group.identity if group is not None else ()
@@ -294,16 +314,17 @@ def _search_sequential(
 
     if group is None:
         # pure-lattice fast path: masks are two plain integers
-        def rec(start: int, depth: int, total, m1: int, m2: int):
+        def rec(start: int, depth: int, x: int, m1: int, m2: int):
             nonlocal nodes, prunes, closures
             nodes += 1
             if progress is not None and nodes % _PROGRESS_STRIDE == 0:
                 progress(nodes, best_len)
             nd = depth + 1
+            cl = CL[depth_cap - nd]
+            cr = CR[depth_cap - nd]
             for j in range(start, k):
-                lc = lcoords[j]
-                nt = tuple(total[c] + lc[c] for c in range(d))
-                if not any(nt):
+                nx = x + packed[j]
+                if nx == 0:
                     closures += 1
                     delta = deltas[j]
                     if not (m2 >> (offset - delta)) & 1:
@@ -311,7 +332,7 @@ def _search_sequential(
                         emit(nd)
                         counts[j] -= 1
                     continue
-                if nd >= depth_cap or not _closable(nt, j, depth_cap - nd, sufmin, sufmax, d):
+                if (nx + cl[j]) & (cr[j] - nx) & H != H:  # T = 0 cuts at the depth
                     prunes += 1
                     continue
                 delta = deltas[j]
@@ -328,44 +349,47 @@ def _search_sequential(
                     continue
                 nm2 = m2 | sm2 | (m1 & sm1) | (bit & (m1 | sm1))
                 counts[j] += 1
-                rec(j, nd, nt, nm1, nm2)
+                rec(j, nd, nx, nm1, nm2)
                 counts[j] -= 1
 
         def roots(lo: int, hi: int):
             nonlocal nodes, prunes, closures
+            cl = CL[depth_cap - 1]
+            cr = CR[depth_cap - 1]
             for j0 in range(lo, hi):
                 # subtree whose first (smallest) element is elems[j0]
                 nodes += 1
-                nt = tuple(lcoords[j0])
-                if not any(nt):
+                x = packed[j0]
+                if x == 0:
                     closures += 1
                     counts[j0] += 1
                     emit(1)
                     counts[j0] -= 1
                     continue
-                if depth_cap <= 1 or not _closable(nt, j0, depth_cap - 1, sufmin, sufmax, d):
+                if (x + cl[j0]) & (cr[j0] - x) & H != H:
                     prunes += 1
                     continue
                 counts[j0] += 1
-                rec(j0, 1, nt, 1 << (offset + deltas[j0]), 0)
+                rec(j0, 1, x, 1 << (offset + deltas[j0]), 0)
                 counts[j0] -= 1
     else:
         gadd = group.add
         gneg = group.neg
 
-        def rec_mixed(start: int, depth: int, gtotal, ltotal, masks):
+        def rec_mixed(start: int, depth: int, gtotal, x: int, masks):
             nonlocal nodes, prunes, closures
             nodes += 1
             if progress is not None and nodes % _PROGRESS_STRIDE == 0:
                 progress(nodes, best_len)
             nd = depth + 1
+            cl = CL[depth_cap - nd]
+            cr = CR[depth_cap - nd]
             for j in range(start, k):
-                lc = lcoords[j]
                 h = gparts[j]
                 ngt = gadd(gtotal, h)
-                nlt = tuple(ltotal[c] + lc[c] for c in range(d))
+                nx = x + packed[j]
                 delta = deltas[j]
-                if ngt == identity and not any(nlt):
+                if ngt == identity and nx == 0:
                     closures += 1
                     pm2 = masks.get(gneg(h), (0, 0))[1]
                     if not (pm2 >> (offset - delta)) & 1:
@@ -373,7 +397,8 @@ def _search_sequential(
                         emit(nd)
                         counts[j] -= 1
                     continue
-                if nd >= depth_cap or not _closable(nlt, j, depth_cap - nd, sufmin, sufmax, d):
+                # T = 0 passes a zero lattice total with a nonzero group part
+                if nd >= depth_cap or (nx + cl[j]) & (cr[j] - nx) & H != H:
                     prunes += 1
                     continue
                 new = dict(masks)
@@ -398,29 +423,30 @@ def _search_sequential(
                     prunes += 1
                     continue
                 counts[j] += 1
-                rec_mixed(j, nd, ngt, nlt, new)
+                rec_mixed(j, nd, ngt, nx, new)
                 counts[j] -= 1
 
         def roots(lo: int, hi: int):
             nonlocal nodes, prunes, closures
+            cl = CL[depth_cap - 1]
+            cr = CR[depth_cap - 1]
             for j0 in range(lo, hi):
                 nodes += 1
-                lc = lcoords[j0]
                 h = gparts[j0]
-                nlt = tuple(lc)
-                if h == identity and not any(nlt):
+                x = packed[j0]
+                if h == identity and x == 0:
                     closures += 1
                     counts[j0] += 1
                     emit(1)
                     counts[j0] -= 1
                     continue
-                if depth_cap <= 1 or not _closable(nlt, j0, depth_cap - 1, sufmin, sufmax, d):
+                if depth_cap <= 1 or (x + cl[j0]) & (cr[j0] - x) & H != H:
                     prunes += 1
                     continue
                 delta = deltas[j0]
                 masks0 = {h: (1 << (offset + delta), 0)}
                 counts[j0] += 1
-                rec_mixed(j0, 1, h, nlt, masks0)
+                rec_mixed(j0, 1, h, x, masks0)
                 counts[j0] -= 1
 
     try:
@@ -501,7 +527,8 @@ def davenport(
     raise) it, and a capped search reports exact=False with the longest
     atom found as the lower bound.  The search stops at the first atom as
     long as the depth, or else exhausts the tree.  Results are
-    deterministic and, stats included, independent of ``threads``.
+    deterministic and, stats included, independent of ``threads``.  The
+    witness is re-certified by ``is_minimal`` (ConsistencyError if not).
     """
     t0 = perf_counter()
     bound = length_bound(ground)
@@ -518,6 +545,8 @@ def davenport(
     )
     stats.elapsed = perf_counter() - t0
     witness = space.sequence_from_counts(best_counts) if best_counts else None
+    if witness is not None and not is_minimal(witness):
+        raise ConsistencyError(f"search witness failed its minimality certificate: {witness}")
     if depth == bound:
         return DavenportResult(best_len, best_len, True, witness, stats)
     return DavenportResult(best_len, _refined_upper(ground, bound), False, witness, stats)

@@ -4,6 +4,7 @@ import sys
 
 from davkit import search as _search
 from davkit.cli import (
+    EXIT_CONSISTENCY,
     EXIT_GUARD,
     EXIT_OK,
     EXIT_USAGE,
@@ -52,6 +53,12 @@ class TestDavenportCommand:
         assert code == EXIT_OK
         assert report["exact"] is False
         assert report["result"]["lower"] == 3 and report["result"]["upper"] == 6
+
+    def test_failed_witness_certificate_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(_search, "is_minimal", lambda s: False)
+        code, out, err = run_cli(capsys, "davenport", "[-2,3]", "--no-stats")
+        assert code == EXIT_CONSISTENCY
+        assert out == "" and "minimality certificate" in err
 
 
 class TestAtomsCommand:

@@ -1,21 +1,26 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from davkit import (
     Element,
     Explicit,
+    GroupProduct,
+    GroupSpec,
     Interval,
     all_atoms,
     atoms_brute,
     atoms_of_length,
     davenport,
+    enumerate_elements,
     hunt_chi_gap,
     is_minimal,
     length_bound,
     max_atoms,
     parse_ground_set,
 )
+from davkit.search import _run_search, _Space
 
 from conftest import S
 
@@ -279,3 +284,121 @@ def test_hunt_chi_gap_smoke():
     report = hunt_chi_gap(2, 3)
     assert report["sets_checked"] == 8
     assert report["gaps"] == []
+
+
+class TestTreePinned:
+    """(nodes, prunes, closures) at threads=1: the pruning decisions of the
+    guarded running total are those of the per-axis inequalities."""
+
+    @pytest.mark.parametrize(
+        "text,cap,counts",
+        [
+            ("[-7,7]", None, (23220, 132666, 560)),
+            ("[-6,10]", None, (31715, 269201, 957)),
+            ("[-1,2]x[-1,1]", None, (37507, 160360, 39)),
+            ("[-1,1]^3", 7, (77, 540, 1)),
+            ("{(2,1),(-1,0),(0,-1),(-1,1)}", None, (1591, 1775, 3)),
+            ("C3x[-2,2]", None, (11832, 41949, 406)),
+            ("C2x[-1,1]^2", 8, (260, 941, 2)),
+        ],
+    )
+    def test_davenport_counts(self, text, cap, counts):
+        st_ = davenport(parse_ground_set(text), cap=cap).stats
+        assert (st_.nodes, st_.prunes, st_.closures) == counts
+
+    def test_atoms_of_length_counts(self):
+        _, _, _, collected, st_ = _run_search(parse_ground_set("[-5,5]"), 9, "len", target=9)
+        assert len(collected) == 2
+        assert (st_.nodes, st_.prunes, st_.closures) == (793, 3067, 100)
+
+
+class TestGuardedTotal:
+    """The guarded test against the direct per-axis inequality
+    -T * max(0, max e_c) <= t_c <= T * max(0, -min e_c) over elements >= j."""
+
+    @pytest.mark.parametrize(
+        "text,depth",
+        [
+            ("{-3,-1,2}", 3),
+            ("{2,3}", 2),
+            # the second axis is one-signed on every suffix after the first
+            ("{(-2,0),(-1,1),(1,2),(2,1)}", 2),
+            # the last axis is identically zero
+            ("{(-1,0,0),(0,1,0),(1,-1,0),(1,1,0)}", 3),
+        ],
+    )
+    def test_matches_per_axis_inequality(self, text, depth):
+        ground = parse_ground_set(text)
+        space = _Space(ground, depth)
+        coords = [e.coords for e in space.elems]
+        d = len(coords[0])
+        reach = [depth * max(abs(v[c]) for v in coords) for c in range(d)]
+        H = space.guards
+        for t in itertools.product(*(range(-r, r + 1) for r in reach)):
+            x = space.pack(t)
+            assert (x == 0) == (not any(t))
+            for j in range(len(coords)):
+                up = [max(0, *(v[c] for v in coords[j:])) for c in range(d)]
+                down = [max(0, *(-v[c] for v in coords[j:])) for c in range(d)]
+                for T in range(depth + 1):
+                    direct = all(-T * up[c] <= t[c] <= T * down[c] for c in range(d))
+                    guarded = (x + space.CL[T][j]) & (space.CR[T][j] - x) & H == H
+                    assert guarded == direct, (t, j, T)
+
+    def test_packing_adds(self):
+        space = _Space(parse_ground_set("[-2,2]^2"), 4)
+        for a, b in itertools.product(space.elems, repeat=2):
+            total = tuple(p + q for p, q in zip(a.coords, b.coords))
+            assert space.pack(a.coords) + space.pack(b.coords) == space.pack(total)
+
+
+def _explicit_sets(dim: int):
+    point = st.integers(-2, 2) if dim == 1 else st.tuples(*[st.integers(-2, 2)] * dim)
+    return st.sets(point, min_size=1, max_size=4).map(
+        lambda pts: Explicit(tuple(sorted(Element.of(p) for p in pts)))
+    )
+
+
+_small_grounds = st.one_of(
+    _explicit_sets(1),
+    _explicit_sets(2),
+    st.builds(
+        lambda n, base: GroupProduct(GroupSpec((n,)), base),
+        st.integers(2, 3),
+        st.sets(st.integers(-2, 2), min_size=1, max_size=3).map(
+            lambda vs: Explicit(tuple(sorted(Element.of(v) for v in vs)))
+        ),
+    ),
+)
+
+
+def _brute(ground):
+    depth = min(length_bound(ground), 6)
+    return depth, set(atoms_brute(enumerate_elements(ground), depth))
+
+
+class TestProperties:
+    """Search against the pruning-free oracle on random small ground sets."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_small_grounds)
+    def test_all_atoms_equal_brute(self, ground):
+        depth, want = _brute(ground)
+        assert set(all_atoms(ground, max_len=depth)) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(_small_grounds)
+    def test_longest_atom_equals_brute(self, ground):
+        depth, want = _brute(ground)
+        r = davenport(ground, cap=depth)
+        assert r.lower == max((a.length for a in want), default=0)
+        if r.witness is not None:
+            assert r.witness in want
+
+    @settings(max_examples=10, deadline=None)
+    @given(_small_grounds)
+    def test_result_independent_of_threads(self, ground):
+        a = davenport(ground, cap=6, threads=1)
+        b = davenport(ground, cap=6, threads=2)
+        a.stats.elapsed = b.stats.elapsed = 0.0
+        assert a == b
