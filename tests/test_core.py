@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from davkit import (
     parse_ground_set,
     parse_sequence,
 )
+from davkit.cli import JobSpec
 from davkit.core import contains_element
 
 from conftest import S
@@ -254,6 +256,17 @@ class TestParser:
     def test_round_trip(self, text):
         ground = parse_ground_set(text)
         assert parse_ground_set(emit_ground_set(ground)) == ground
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[-2,4]", "[-1,1]^2", "{-2,3}", "C2x[-2,2]", "C2xC4x{(1,1),(0,-1)}"],
+    )
+    def test_json_round_trip(self, text):
+        # In JSON (job files, reports) a ground set travels as its text form.
+        ground = parse_ground_set(text)
+        spec = JobSpec(command="bounds", ground=emit_ground_set(ground))
+        back = JobSpec.from_json(json.loads(json.dumps(spec.to_json())))
+        assert parse_ground_set(back.ground) == ground
 
 
 _interval_st = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(
