@@ -189,10 +189,6 @@ class GroupSpec:
         return self.factors[-1] if self.factors else 1
 
     @property
-    def is_trivial(self) -> bool:
-        return not self.factors
-
-    @property
     def is_cyclic(self) -> bool:
         return len(self.factors) <= 1
 

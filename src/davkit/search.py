@@ -15,18 +15,25 @@ completed zero-sum candidate and is emitted iff the only zero-sum
 sub-multiset it contains is P itself; either way the branch ends, because
 a zero-sum proper prefix can never extend to a minimal sequence.
 
-Bookkeeping is two reachability bitmasks: bit w of ``ones`` says some
-nonempty sub-multiset of P sums to w, and ``twos`` marks sums achieved by
-at least two distinct sub-multisets (saturating counter).  Lattice sums
-are packed into bit positions by fixed per-axis strides sized from the
-depth cap, so adding an element advances the whole reachable set with one
-big-integer shift-or.  At a closure with last element e, P + e is an atom
-iff ``twos`` has no bit at -e: the full P always reaches -e, and a second
-achiever would be a proper zero-sum sub-multiset.
+Bookkeeping is one reachability bitmask: bit w of ``ones`` says some
+nonempty sub-multiset of P sums to w.  Sums are packed into bit positions
+by fixed per-axis strides sized from the depth cap, so adding an element
+advances the whole reachable set with one big-integer shift-or, and a
+child is cut when ``ones`` reaches the zero bit.  So every P the search
+extends is zero-sum free, and then every closure P + e is an atom: a
+proper zero-sum sub-multiset Z of P + e would contain e, and P + e - Z
+would be a nonempty zero-sum sub-multiset of P.
 
-For group products the masks are keyed by group residue tuple; shifting
-moves lattice sums while the key tracks the modular component, so the same
-invariants hold verbatim.
+One kernel serves every ground set: in C_n1 x ... x C_nr x X each residue
+coordinate is one more axis after the d lattice axes, and a box is the
+case r = 0.  In the masks, residue axis i is a digit of 2*n_i - 1 values
+that holds the reduced residue.  The shift by an element with residue
+h_i > 0 moves it into [h_i, n_i - 1 + h_i]; the bits that reached n_i or
+more then move down by n_i (``wraps``), onto residues below h_i that the
+shift left empty, so nothing collides.  The mask thus holds the sums in
+the group, as a family of masks keyed by residue tuple would, and the
+zero sum is a single bit.  (Unreduced residue sums would need
+depth*(n_i - 1) + 1 values per axis, and masks that much wider.)
 
 A cheap per-branch feasibility cut keeps a node only while its lattice
 total t can still return to zero within the T elements left: elements of
@@ -38,10 +45,18 @@ w_c = (2*depth*max|e_c| + 1).bit_length() bits and a guard bit above them
 (H is the OR of the guard bits).  As |t_c + T*A_c| <= 2*depth*max|e_c| <
 2^w_c, field c of x + H + T*sum_c A_c << s_c is t_c + T*A_c + 2^w_c, in
 (0, 2^(w_c+1)): no field borrows or carries, and its guard bit is set iff
-t_c >= -T*A_c.  H + T*sum_c B_c << s_c - x tests t_c <= T*B_c alike, and
-x == 0 iff t == 0.  With both tables precomputed per (T, j), every node
-takes the per-axis decisions, hence the node, prune and closure counts, of
-separate comparisons.  The reachability masks keep their dense packing.
+t_c >= -T*A_c.  H + T*sum_c B_c << s_c - x tests t_c <= T*B_c alike.
+
+Residue axis i is a field of x too, holding the unreduced residue sum
+r_i in [0, rmax_i], rmax_i = depth*(n_i - 1), in (depth*rmax_i).bit_length()
+bits.  P is a closure iff x is in ``closed``: lattice part 0 and every r_i
+a multiple of n_i ({0} for a box).  In the rows a residue field moves up
+by 0 and down by rmax_i, so the test reads 0 <= r_i <= T*rmax_i: always
+true for T >= 1, and at T = 0 only for r_i = 0.  The T = 0 row therefore
+passes only x == 0, which is a closure, and cuts every other child at the
+depth: the depth needs no test of its own.  With both tables precomputed
+per (T, j), every node takes the per-axis decisions, hence the node,
+prune and closure counts, of separate comparisons.
 
 Early stop
 ----------
@@ -60,7 +75,6 @@ where the search stopped.  Modes 'len' and 'all' never stop early.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -176,57 +190,77 @@ class _Rows(dict):
 
 
 class _Space:
-    """Element tables, bit packings, and closability tables for one search."""
+    """Element tables, bit packings, and closability tables for one search.
+
+    An element of C_n1 x ... x C_nr x Z^d has d lattice axes, then r residue
+    axes; see the module docstring for how each table packs them.
+    """
 
     def __init__(self, ground: GroundSet, depth_cap: int):
         elems = enumerate_elements(ground)
         self.elems = elems
         first = elems[0]
         if isinstance(first, MixedElement):
-            self.group = first.group
-            self.gparts = [e.group_part for e in elems]
-            lcoords = [e.lattice_part.coords for e in elems]
+            moduli = first.group.factors
+            coords = [e.lattice_part.coords + e.group_part for e in elems]
         else:
-            self.group = None
-            self.gparts = [()] * len(elems)
-            lcoords = [e.coords for e in elems]
-        d = len(lcoords[0])
+            moduli = ()
+            coords = [e.coords for e in elems]
+        d = len(coords[0]) - len(moduli)
         # |sum_c| <= reach[c] for every sub-multiset of <= depth_cap elements
-        reach = [depth_cap * max(abs(v[c]) for v in lcoords) for c in range(d)]
-        # Reachability masks: strides sized so every such sum packs uniquely;
-        # all bit indices stay non-negative via the offset.
-        strides = [1] * d
-        for c in range(1, d):
-            strides[c] = strides[c - 1] * (2 * reach[c - 1] + 3)
+        reach = [depth_cap * max(abs(v[c]) for v in coords) for c in range(d)]
+        # Reachability masks: lattice digits sized so every such sum packs
+        # uniquely, non-negative via the offset; a residue digit holds a
+        # reduced residue plus one more, and is reduced again after a shift.
+        digits = [2 * m + 3 for m in reach] + [2 * n - 1 for n in moduli]
+        strides = [1]
+        for w in digits[:-1]:
+            strides.append(strides[-1] * w)
         self.offset = sum((reach[c] + 1) * strides[c] for c in range(d))
-        self.deltas = [sum(v[c] * strides[c] for c in range(d)) for v in lcoords]
-        # guarded totals (see the module docstring): field c starts at shifts[c]
-        shifts = [0] * d
-        guards = 0
-        for c in range(d):
-            w = (2 * reach[c] + 1).bit_length()
-            guards |= 1 << (shifts[c] + w)
-            if c + 1 < d:
-                shifts[c + 1] = shifts[c] + w + 1
-        self.guards = guards
+        self.deltas = [sum(t * s for t, s in zip(v, strides)) for v in coords]
+        # wraps[j]: per residue axis that elems[j] moves, the bits whose
+        # digit is n_i or more, and the shift that takes n_i off it
+        size = strides[-1] * digits[-1]
+        wrap = []
+        for n, w, s in zip(moduli, digits[d:], strides[d:]):
+            block = ((1 << (n - 1) * s) - 1) << (n * s)
+            wrap.append((sum(block << q for q in range(0, size, w * s)), n * s))
+        self.wraps = [tuple(a for a, h in zip(wrap, v[d:]) if h) for v in coords]
+        # guarded totals (see the module docstring): field c starts at
+        # shifts[c]; residue field i holds an unreduced residue sum, in
+        # [0, rmax[i]], and row T adds T * rmax[i] to it, T <= depth_cap
+        rmax = [depth_cap * (n - 1) for n in moduli]
+        widths = [(2 * m + 1).bit_length() for m in reach]
+        widths += [(depth_cap * m).bit_length() for m in rmax]
+        shifts = [0]
+        for w in widths[:-1]:
+            shifts.append(shifts[-1] + w + 1)
         self.shifts = shifts
-        self.packed = [self.pack(v) for v in lcoords]
+        self.guards = sum(1 << (s + w) for s, w in zip(shifts, widths))
+        self.packed = [self.pack(v) for v in coords]
+        # the zero-sum totals: lattice sums 0, residue sums multiples of n_i
+        self.closed = frozenset(
+            self.pack([0] * d + list(res))
+            for res in itertools.product(*(range(0, m + 1, n) for n, m in zip(moduli, rmax)))
+        )
         # up[j] / down[j] pack how far elements >= j move each axis up / down;
-        # rows are built on first use, so memory follows the depth reached
+        # rows are built on first use, so memory follows the depth reached.
+        # A residue axis moves down by rmax[i]: row T >= 1 passes any residue
+        # sum, and row 0 only residue 0, so it cuts every non-closure.
         k = len(elems)
         up, down = [0] * k, [0] * k
         hi, lo = [0] * d, [0] * d
         for j in range(k - 1, -1, -1):
             for c in range(d):
-                hi[c] = max(hi[c], lcoords[j][c])
-                lo[c] = min(lo[c], lcoords[j][c])
-            up[j] = self.pack(hi)
-            down[j] = -self.pack(lo)
-        self.CL = _Rows(guards, up)
-        self.CR = _Rows(guards, down)
+                hi[c] = max(hi[c], coords[j][c])
+                lo[c] = min(lo[c], coords[j][c])
+            up[j] = self.pack(hi + [0] * len(rmax))
+            down[j] = self.pack([-t for t in lo] + rmax)
+        self.CL = _Rows(self.guards, up)
+        self.CR = _Rows(self.guards, down)
 
     def pack(self, total) -> int:
-        """The guarded packing of a lattice total."""
+        """The guarded packing of a total: lattice sums, then residue sums."""
         return sum(t << s for t, s in zip(total, self.shifts))
 
     def sequence_from_counts(self, counts) -> Sequence:
@@ -281,13 +315,13 @@ def _search_sequential(
     deltas = space.deltas
     offset = space.offset
     zero_bit = 1 << offset
+    wraps = space.wraps
     packed = space.packed
     H = space.guards
     CL = space.CL
     CR = space.CR
-    group = space.group
-    gparts = space.gparts
-    identity = group.identity if group is not None else ()
+    closed = space.closed
+    cmax = max(closed)
 
     counts = [0] * k
     collected: list[tuple[int, ...]] = []
@@ -312,142 +346,59 @@ def _search_sequential(
             if mode == "dav" and length == depth_cap:
                 raise _DepthReached
 
-    if group is None:
-        # pure-lattice fast path: masks are two plain integers
-        def rec(start: int, depth: int, x: int, m1: int, m2: int):
-            nonlocal nodes, prunes, closures
-            nodes += 1
-            if progress is not None and nodes % _PROGRESS_STRIDE == 0:
-                progress(nodes, best_len)
-            nd = depth + 1
-            cl = CL[depth_cap - nd]
-            cr = CR[depth_cap - nd]
-            for j in range(start, k):
-                nx = x + packed[j]
-                if nx == 0:
-                    closures += 1
-                    delta = deltas[j]
-                    if not (m2 >> (offset - delta)) & 1:
-                        counts[j] += 1
-                        emit(nd)
-                        counts[j] -= 1
-                    continue
-                if (nx + cl[j]) & (cr[j] - nx) & H != H:  # T = 0 cuts at the depth
-                    prunes += 1
-                    continue
-                delta = deltas[j]
-                if delta >= 0:
-                    sm1 = m1 << delta
-                    sm2 = m2 << delta
-                else:
-                    sm1 = m1 >> -delta
-                    sm2 = m2 >> -delta
-                bit = 1 << (offset + delta)
-                nm1 = m1 | sm1 | bit
-                if nm1 & zero_bit:
-                    prunes += 1
-                    continue
-                nm2 = m2 | sm2 | (m1 & sm1) | (bit & (m1 | sm1))
+    def rec(start: int, depth: int, x: int, m: int):
+        nonlocal nodes, prunes, closures
+        nodes += 1
+        if progress is not None and nodes % _PROGRESS_STRIDE == 0:
+            progress(nodes, best_len)
+        nd = depth + 1
+        cl = CL[depth_cap - nd]
+        cr = CR[depth_cap - nd]
+        for j in range(start, k):
+            nx = x + packed[j]
+            if 0 <= nx <= cmax and nx in closed:  # the range test is the cheap one
+                closures += 1  # P is zero-sum free, so P + e is an atom
                 counts[j] += 1
-                rec(j, nd, nx, nm1, nm2)
+                emit(nd)
                 counts[j] -= 1
+                continue
+            if (nx + cl[j]) & (cr[j] - nx) & H != H:  # T = 0 cuts at the depth
+                prunes += 1
+                continue
+            delta = deltas[j]
+            sm = m << delta if delta >= 0 else m >> -delta
+            if wraps[j]:
+                for over, s in wraps[j]:  # reduce the residues that reached n_i
+                    f = sm & over
+                    sm ^= f ^ (f >> s)
+            nm = m | sm | 1 << (offset + delta)
+            if nm & zero_bit:
+                prunes += 1
+                continue
+            counts[j] += 1
+            rec(j, nd, nx, nm)
+            counts[j] -= 1
 
-        def roots(lo: int, hi: int):
-            nonlocal nodes, prunes, closures
-            cl = CL[depth_cap - 1]
-            cr = CR[depth_cap - 1]
-            for j0 in range(lo, hi):
-                # subtree whose first (smallest) element is elems[j0]
-                nodes += 1
-                x = packed[j0]
-                if x == 0:
-                    closures += 1
-                    counts[j0] += 1
-                    emit(1)
-                    counts[j0] -= 1
-                    continue
-                if (x + cl[j0]) & (cr[j0] - x) & H != H:
-                    prunes += 1
-                    continue
-                counts[j0] += 1
-                rec(j0, 1, x, 1 << (offset + deltas[j0]), 0)
-                counts[j0] -= 1
-    else:
-        gadd = group.add
-        gneg = group.neg
-
-        def rec_mixed(start: int, depth: int, gtotal, x: int, masks):
-            nonlocal nodes, prunes, closures
+    def roots(lo: int, hi: int):
+        nonlocal nodes, prunes, closures
+        cl = CL[depth_cap - 1]
+        cr = CR[depth_cap - 1]
+        for j0 in range(lo, hi):
+            # subtree whose first (smallest) element is elems[j0]
             nodes += 1
-            if progress is not None and nodes % _PROGRESS_STRIDE == 0:
-                progress(nodes, best_len)
-            nd = depth + 1
-            cl = CL[depth_cap - nd]
-            cr = CR[depth_cap - nd]
-            for j in range(start, k):
-                h = gparts[j]
-                ngt = gadd(gtotal, h)
-                nx = x + packed[j]
-                delta = deltas[j]
-                if ngt == identity and nx == 0:
-                    closures += 1
-                    pm2 = masks.get(gneg(h), (0, 0))[1]
-                    if not (pm2 >> (offset - delta)) & 1:
-                        counts[j] += 1
-                        emit(nd)
-                        counts[j] -= 1
-                    continue
-                # T = 0 passes a zero lattice total with a nonzero group part
-                if nd >= depth_cap or (nx + cl[j]) & (cr[j] - nx) & H != H:
-                    prunes += 1
-                    continue
-                new = dict(masks)
-                if delta >= 0:
-                    for g, (a1, a2) in masks.items():
-                        tg = gadd(g, h)
-                        sm1 = a1 << delta
-                        t1, t2 = new.get(tg, (0, 0))
-                        new[tg] = (t1 | sm1, t2 | (a2 << delta) | (t1 & sm1))
-                else:
-                    sh = -delta
-                    for g, (a1, a2) in masks.items():
-                        tg = gadd(g, h)
-                        sm1 = a1 >> sh
-                        t1, t2 = new.get(tg, (0, 0))
-                        new[tg] = (t1 | sm1, t2 | (a2 >> sh) | (t1 & sm1))
-                bit = 1 << (offset + delta)
-                t1, t2 = new.get(h, (0, 0))
-                new[h] = (t1 | bit, t2 | (t1 & bit))
-                z1 = new.get(identity, (0, 0))[0]
-                if (z1 >> offset) & 1:
-                    prunes += 1
-                    continue
-                counts[j] += 1
-                rec_mixed(j, nd, ngt, nx, new)
-                counts[j] -= 1
-
-        def roots(lo: int, hi: int):
-            nonlocal nodes, prunes, closures
-            cl = CL[depth_cap - 1]
-            cr = CR[depth_cap - 1]
-            for j0 in range(lo, hi):
-                nodes += 1
-                h = gparts[j0]
-                x = packed[j0]
-                if h == identity and x == 0:
-                    closures += 1
-                    counts[j0] += 1
-                    emit(1)
-                    counts[j0] -= 1
-                    continue
-                if depth_cap <= 1 or (x + cl[j0]) & (cr[j0] - x) & H != H:
-                    prunes += 1
-                    continue
-                delta = deltas[j0]
-                masks0 = {h: (1 << (offset + delta), 0)}
+            x = packed[j0]
+            if x in closed:
+                closures += 1
                 counts[j0] += 1
-                rec_mixed(j0, 1, h, x, masks0)
+                emit(1)
                 counts[j0] -= 1
+                continue
+            if (x + cl[j0]) & (cr[j0] - x) & H != H:
+                prunes += 1
+                continue
+            counts[j0] += 1
+            rec(j0, 1, x, 1 << (offset + deltas[j0]))
+            counts[j0] -= 1
 
     try:
         roots(*(root_range or (0, k)))
@@ -490,6 +441,9 @@ def _run_search(
     best_counts = None
     collected = []
     stats = SearchStats()
+    # imported here, not at the top: most runs never start a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(threads, k)) as pool:
         # merge in root order, as the sequential run visits them.  A 'dav'
         # root that reaches the depth ends that run too, so the roots after

@@ -247,6 +247,14 @@ class TestErrorsAndSpec:
         assert code == EXIT_USAGE
 
 
+def test_cli_import_loads_no_process_pool():
+    # the pool modules are imported only where a parallel search starts
+    code = "import sys, davkit.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "davkit", "davenport", "[-1,1]", "--no-stats"],

@@ -300,6 +300,7 @@ class TestTreePinned:
             ("{(2,1),(-1,0),(0,-1),(-1,1)}", None, (1591, 1775, 3)),
             ("C3x[-2,2]", None, (11832, 41949, 406)),
             ("C2x[-1,1]^2", 8, (260, 941, 2)),
+            ("C3xC3x{-1,1}", None, (10, 9, 1)),
         ],
     )
     def test_davenport_counts(self, text, cap, counts):
@@ -310,6 +311,15 @@ class TestTreePinned:
         _, _, _, collected, st_ = _run_search(parse_ground_set("[-5,5]"), 9, "len", target=9)
         assert len(collected) == 2
         assert (st_.nodes, st_.prunes, st_.closures) == (793, 3067, 100)
+
+    @pytest.mark.parametrize(
+        "text,depth,counts",
+        [("C2xC4x[-1,1]", 5, (5727, 27454, 1419)), ("C2xC2x[-1,1]", 6, (421, 1073, 83))],
+    )
+    def test_rank_two_all_atoms_counts(self, text, depth, counts):
+        _, _, _, collected, st_ = _run_search(parse_ground_set(text), depth, "all")
+        assert (st_.nodes, st_.prunes, st_.closures) == counts
+        assert len(collected) == counts[2]
 
 
 class TestGuardedTotal:
@@ -352,29 +362,101 @@ class TestGuardedTotal:
             assert space.pack(a.coords) + space.pack(b.coords) == space.pack(total)
 
 
-def _explicit_sets(dim: int):
+class TestMixedTables:
+    """The residue axes of the guarded total and of the reachability masks."""
+
+    @pytest.mark.parametrize(
+        "text,depth", [("C3x{-1,2}", 3), ("C2xC2x{(1,0),(-1,1)}", 2), ("C2xC4x[-1,1]", 2)]
+    )
+    def test_closed_and_rows(self, text, depth):
+        space = _Space(parse_ground_set(text), depth)
+        moduli = space.elems[0].group.factors
+        coords = [e.lattice_part.coords for e in space.elems]
+        d = len(coords[0])
+        reach = [depth * max(abs(v[c]) for v in coords) for c in range(d)]
+        rmax = [depth * (n - 1) for n in moduli]
+        H = space.guards
+        lattice_totals = itertools.product(*(range(-m, m + 1) for m in reach))
+        residue_sums = itertools.product(*(range(m + 1) for m in rmax))
+        for t, r in itertools.product(lattice_totals, list(residue_sums)):
+            x = space.pack(t + r)
+            zero_sum = not any(t) and all(ri % n == 0 for ri, n in zip(r, moduli))
+            assert (x in space.closed) == zero_sum, (t, r)
+            for j in range(len(coords)):
+                up = [max(0, *(v[c] for v in coords[j:])) for c in range(d)]
+                down = [max(0, *(-v[c] for v in coords[j:])) for c in range(d)]
+                for T in range(depth + 1):
+                    direct = all(-T * up[c] <= t[c] <= T * down[c] for c in range(d))
+                    direct = direct and (T >= 1 or not any(r))
+                    guarded = (x + space.CL[T][j]) & (space.CR[T][j] - x) & H == H
+                    assert guarded == direct, (t, r, j, T)
+
+    @pytest.mark.parametrize(
+        "text,depth", [("C3x{-1,2}", 3), ("C2xC2x{(1,0),(-1,1),(0,-1)}", 3), ("C2xC4x[-1,1]", 2)]
+    )
+    def test_mask_bits(self, text, depth):
+        """Walk the kernel's shift-and-wrap step over every multiset of at
+        most ``depth`` elements: one bit per sum in the group, the zero sum
+        on the zero bit, and each element on its own bit."""
+        space = _Space(parse_ground_set(text), depth)
+        elems = space.elems
+        moduli = elems[0].group.factors
+
+        def step(bit, j):
+            delta = space.deltas[j]
+            m = 1 << bit << delta if delta >= 0 else 1 << bit >> -delta
+            for over, s in space.wraps[j]:
+                f = m & over
+                m ^= f ^ (f >> s)
+            assert m.bit_count() == 1
+            return m.bit_length() - 1
+
+        def key(residues, lattice):
+            return tuple(r % n for r, n in zip(residues, moduli)), lattice
+
+        bit_of = {}
+        for size in range(1, depth + 1):
+            for multiset in itertools.combinations_with_replacement(range(len(elems)), size):
+                bit = space.offset
+                for j in multiset:
+                    bit = step(bit, j)
+                total = key(
+                    [sum(elems[j].group_part[i] for j in multiset) for i in range(len(moduli))],
+                    tuple(map(sum, zip(*(elems[j].lattice_part.coords for j in multiset)))),
+                )
+                assert bit_of.setdefault(total, bit) == bit, multiset
+        assert len(set(bit_of.values())) == len(bit_of)
+        assert bit_of[key([0] * len(moduli), (0,) * elems[0].dim)] == space.offset
+        for j, e in enumerate(elems):
+            assert bit_of[key(e.group_part, e.lattice_part.coords)] == space.offset + space.deltas[j]
+
+
+def _explicit_sets(dim: int, max_size: int = 4):
     point = st.integers(-2, 2) if dim == 1 else st.tuples(*[st.integers(-2, 2)] * dim)
-    return st.sets(point, min_size=1, max_size=4).map(
+    return st.sets(point, min_size=1, max_size=max_size).map(
         lambda pts: Explicit(tuple(sorted(Element.of(p) for p in pts)))
     )
+
+
+def _products(moduli, base):
+    return st.builds(lambda m, b: GroupProduct(GroupSpec(m), b), st.sampled_from(moduli), base)
 
 
 _small_grounds = st.one_of(
     _explicit_sets(1),
     _explicit_sets(2),
-    st.builds(
-        lambda n, base: GroupProduct(GroupSpec((n,)), base),
-        st.integers(2, 3),
-        st.sets(st.integers(-2, 2), min_size=1, max_size=3).map(
-            lambda vs: Explicit(tuple(sorted(Element.of(v) for v in vs)))
-        ),
-    ),
+    _products([(2,), (3,)], _explicit_sets(1, 3)),
+    # several residue axes, and residue axes next to two lattice axes
+    _products([(2, 2), (2, 4)], _explicit_sets(1, 2)),
+    _products([(2,), (2, 2)], _explicit_sets(2, 3)),
 )
 
 
 def _brute(ground):
-    depth = min(length_bound(ground), 6)
-    return depth, set(atoms_brute(enumerate_elements(ground), depth))
+    elements = enumerate_elements(ground)
+    # the oracle scans every multiset: keep that to some thousands
+    depth = min(length_bound(ground), 6 if len(elements) <= 9 else 4)
+    return depth, set(atoms_brute(elements, depth))
 
 
 class TestProperties:
