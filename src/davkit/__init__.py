@@ -10,6 +10,7 @@ from .bounds import (
     group_davenport,
     hypercube_bounds,
     interval_davenport,
+    length_bound,
     product_bounds,
     square_upper,
 )
@@ -69,7 +70,6 @@ from .search import (
     atoms_of_length,
     davenport,
     hunt_chi_gap,
-    length_bound,
     max_atoms,
 )
 from .zerosum import (

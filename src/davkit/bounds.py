@@ -1,4 +1,5 @@
-"""Closed-form bounds and exact formulas for Davenport constants.
+"""Closed-form bounds and exact formulas for Davenport constants, and the
+structural bound ``length_bound`` that sizes the search depth.
 
 Every report carries machine-readable provenance tags naming the result
 that licensed each bound, so downstream output can state *why* a number
@@ -242,41 +243,73 @@ def drop_zero_axes(ground: GroundSet) -> GroundSet:
     return ground
 
 
+def _half_widths(ground: Box | Explicit) -> list[int]:
+    """Per-axis max |coordinate|: the tightest enclosing symmetric box."""
+    if isinstance(ground, Box):
+        return [max(abs(lo), abs(hi)) for lo, hi in ground.intervals]
+    return [max(abs(e.coords[c]) for e in ground.elements) for c in range(ground.dim)]
+
+
+def _line_values(ground: GroundSet) -> list[int] | None:
+    """The values of a one-dimensional explicit set, else None."""
+    if isinstance(ground, Explicit) and ground.dim == 1:
+        return [e.coords[0] for e in ground.elements]
+    return None
+
+
+def length_bound(ground: GroundSet) -> int:
+    """A proven upper bound on the length of any atom over ``ground``: the
+    structural bound that sizes the search depth.
+
+    Dimension 1 uses the diameter (0 or 1 for single-sign sets); higher
+    dimensions use the rearrangement-based product bound over the tightest
+    enclosing symmetric box; group products multiply the group bound by
+    the base bound.  Axes that are identically zero are dropped first.
+    """
+    return _structural(drop_zero_axes(ground))
+
+
+def _structural(ground: GroundSet) -> int:
+    """``length_bound`` of a set without identically-zero axes."""
+    if isinstance(ground, GroupProduct):
+        return group_davenport(ground.group).upper * _structural(ground.base)
+    if isinstance(ground, Interval):
+        lo, hi = ground.lo, ground.hi
+    elif (vals := _line_values(ground)) is not None:
+        lo, hi = min(vals), max(vals)
+    elif isinstance(ground, (Box, Explicit)):
+        return box_upper(_half_widths(ground))
+    else:
+        raise ValidationError(f"unknown ground set {ground!r}")
+    if lo > 0 or hi < 0:
+        return 0
+    if lo == 0 or hi == 0:
+        return 1
+    return hi - lo
+
+
 def ground_bounds(ground: GroundSet) -> BoundReport:
-    """Best closed-form bracket for a ground set, by shape."""
+    """Best closed-form bracket for a ground set, by shape.  Where no
+    closed form applies, the upper bound is ``length_bound``; it is never
+    above it."""
     ground = drop_zero_axes(ground)
     if isinstance(ground, GroupProduct):
         return product_bounds(ground.group, ground.base)
+    bound = _structural(ground)
+    if bound <= 1:
+        tag = "zero-only-atom" if bound else "single-sign-no-atoms"
+        return BoundReport(bound, bound, True, (tag,))
     if isinstance(ground, Interval):
-        lo, hi = ground.lo, ground.hi
-        if lo > 0 or hi < 0:
-            return BoundReport(0, 0, True, ("single-sign-no-atoms",))
-        if lo == 0 or hi == 0:
-            return BoundReport(1, 1, True, ("zero-only-atom",))
-        return interval_davenport(-lo, hi)
+        return interval_davenport(-ground.lo, ground.hi)
     shape = _symmetric_cube_shape(ground)
     if shape is not None:
         return hypercube_bounds(*shape)
-    if isinstance(ground, Box):
-        ms = [max(abs(lo), abs(hi)) for lo, hi in ground.intervals]
-        if len(ms) == 2:
-            return BoundReport(0, square_upper(*ms), False, ("rectangle-reorder-upper",))
-        return BoundReport(0, box_upper(ms), False, ("steinitz-box-upper",))
-    if isinstance(ground, Explicit):
-        if ground.dim == 1:
-            vals = [e.coords[0] for e in ground.elements]
-            has_pos = any(v > 0 for v in vals)
-            has_neg = any(v < 0 for v in vals)
-            if not (has_pos and has_neg):
-                value = 1 if 0 in vals else 0
-                tag = "zero-only-atom" if value else "single-sign-no-atoms"
-                return BoundReport(value, value, True, (tag,))
-            lower = chi(vals)
-            upper = diam(vals)
-            return BoundReport(lower, upper, lower == upper, ("chi-pair-lower", "diameter-upper"))
-        ms = [max(abs(e.coords[c]) for e in ground.elements) for c in range(ground.dim)]
-        return BoundReport(0, box_upper(ms), False, ("steinitz-box-upper",))
-    raise ValidationError(f"unknown ground set {ground!r}")
+    if (vals := _line_values(ground)) is not None:
+        lower = chi(vals)
+        return BoundReport(lower, bound, lower == bound, ("chi-pair-lower", "diameter-upper"))
+    if isinstance(ground, Box) and ground.dim == 2:
+        return BoundReport(0, square_upper(*_half_widths(ground)), False, ("rectangle-reorder-upper",))
+    return BoundReport(0, bound, False, ("steinitz-box-upper",))
 
 
 def product_bounds(G: GroupSpec, X: GroundSet) -> BoundReport:

@@ -28,7 +28,6 @@ from .core import (
     DavkitError,
     GroundSet,
     GroupProduct,
-    GroupSpec,
     GuardExceededError,
     Interval,
     OverflowGuardError,
@@ -38,6 +37,7 @@ from .core import (
     contains_element,
     emit_ground_set,
     parse_ground_set,
+    parse_group,
     parse_sequence,
     sequence_to_json,
 )
@@ -102,7 +102,7 @@ def _resolve_threads(requested: int, ground: GroundSet | None) -> int:
     if ground is None:
         return 1
     try:
-        work = ground.cardinality() * _search.length_bound(ground)
+        work = ground.cardinality() * _bounds.length_bound(ground)
     except DavkitError:
         return 1
     if work >= 20_000:
@@ -130,6 +130,14 @@ def _require_ground(spec: JobSpec) -> GroundSet:
     if not spec.ground:
         raise ValidationError(f"command {spec.command!r} needs a ground set")
     return parse_ground_set(spec.ground)
+
+
+def _int_params(spec: JobSpec, *names: str) -> list[int]:
+    """The named parameters as integers; ValidationError if any is missing."""
+    missing = [f"--{name}" for name in names if spec.parameters.get(name) is None]
+    if missing:
+        raise ValidationError(f"missing {', '.join(missing)}")
+    return [int(spec.parameters[name]) for name in names]
 
 
 def _parse_seq_param(spec: JobSpec, ground: GroundSet | None) -> Sequence:
@@ -209,7 +217,10 @@ def _cmd_reorder(spec: JobSpec):
         flat = [e.coords[0] for e in s.flatten()]
         seed_text = spec.parameters.get("seed_element")
         if seed_text is not None:
-            target = int(seed_text)
+            try:
+                target = int(seed_text)
+            except ValueError:
+                raise ParseError(f"bad seed element {seed_text!r}", 0) from None
             if target not in flat:
                 raise ValidationError(f"seed element {target} not in the sequence")
             seed = [flat.index(target)]
@@ -252,13 +263,7 @@ def _cmd_reorder(spec: JobSpec):
 def _cmd_bounds(spec: JobSpec):
     group_text = spec.parameters.get("group")
     if group_text:
-        factors = []
-        for part in group_text.split("x"):
-            part = part.strip()
-            if not part.startswith("C"):
-                raise ValidationError(f"bad group factor {part!r}")
-            factors.append(int(part[1:]))
-        report = _bounds.group_davenport(GroupSpec(tuple(factors)))
+        report = _bounds.group_davenport(parse_group(group_text))
         subject = {"group": group_text}
     else:
         ground = _require_ground(spec)
@@ -276,18 +281,17 @@ def _cmd_bounds(spec: JobSpec):
 
 def _cmd_construct(spec: JobSpec):
     kind = spec.parameters.get("kind")
-    p = spec.parameters
     if kind == "two-element":
-        s = _constructions.two_element_atom(int(p["x"]), int(p["y"]))
+        s = _constructions.two_element_atom(*_int_params(spec, "x", "y"))
         provenance = ["two-support-atom"]
     elif kind == "interval-max":
-        s = _constructions.interval_max_atom(int(p["m"]), int(p["M"]))
+        s = _constructions.interval_max_atom(*_int_params(spec, "m", "M"))
         provenance = ["max-interval-atom"]
     elif kind == "hypercube":
-        s = _constructions.hypercube_atom(int(p["m"]), int(p["d"]))
+        s = _constructions.hypercube_atom(*_int_params(spec, "m", "d"))
         provenance = ["hypercube-construction-lower"]
     elif kind == "group-box":
-        s = _constructions.group_box_atom(int(p["n"]), int(p["m"]), int(p["d"]))
+        s = _constructions.group_box_atom(*_int_params(spec, "n", "m", "d"))
         provenance = ["cyclic-product-cube-lower"]
     else:
         raise ValidationError(f"unknown construction kind {kind!r}")
@@ -302,9 +306,7 @@ def _cmd_construct(spec: JobSpec):
 
 def _cmd_classify(spec: JobSpec):
     p = spec.parameters
-    if p.get("m") is None:
-        raise ValidationError("missing --m")
-    m = int(p["m"])
+    (m,) = _int_params(spec, "m")
     ground = parse_ground_set(spec.ground) if spec.ground else None
     s = _parse_seq_param(spec, ground)
     if p.get("M") is not None:
@@ -329,14 +331,16 @@ def _cmd_classify(spec: JobSpec):
 
 
 def _parse_range(text: str) -> list[int]:
+    """``a..b`` and ``k`` items joined by commas."""
     out = []
+    at = 0
     for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, _, hi = part.partition("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        lo, dots, hi = part.partition("..")
+        try:
+            out.extend(range(int(lo), int(hi) + 1) if dots else [int(part)])
+        except ValueError:
+            raise ParseError(f"bad range item {part.strip()!r}", at) from None
+        at += len(part) + 1
     return out
 
 
@@ -384,8 +388,8 @@ def _cmd_verify(spec: JobSpec):
 def _cmd_hunt_chi_gap(spec: JobSpec):
     p = spec.parameters
     report = _search.hunt_chi_gap(
-        int(p.get("abs") or 3),
-        int(p.get("max_size") or 3),
+        3 if p.get("abs") is None else int(p["abs"]),
+        3 if p.get("max_size") is None else int(p["max_size"]),
         threads=_resolve_threads(spec.threads, None),
     )
     return EXIT_OK, report, ["exploration"], True, None

@@ -619,26 +619,37 @@ def _parse_explicit(chunk: str, pos: int) -> Explicit:
         raise ParseError("explicit set is empty", pos)
     elems = []
     for item, at in _split_top_level(body, ","):
-        item = item.strip()
         if not item:
             raise ParseError("empty element in explicit set", pos + 1 + at)
-        if item.startswith("("):
-            if not item.endswith(")"):
-                raise ParseError("unterminated tuple element", pos + 1 + at)
-            try:
-                coords = tuple(int(c) for c in item[1:-1].split(","))
-            except ValueError:
-                raise ParseError(f"bad tuple element {item!r}", pos + 1 + at) from None
-            elems.append(Element(coords))
-        else:
-            try:
-                elems.append(Element((int(item),)))
-            except ValueError:
-                raise ParseError(f"bad element {item!r}", pos + 1 + at) from None
+        elems.append(_parse_element(item, pos + 1 + at, None))
     try:
         return Explicit(tuple(elems))
     except ValidationError as exc:
         raise ParseError(str(exc), pos) from None
+
+
+def _group_prefix(parts: list[tuple[str, int]]) -> tuple[GroupSpec, int]:
+    """The group named by the leading ``Cn`` chunks of ``parts``, and
+    their number (0 for none: the trivial group)."""
+    factors = []
+    for chunk, _ in parts:
+        m = _GROUP_RE.fullmatch(chunk)
+        if not m:
+            break
+        factors.append(int(m.group(1)))
+    try:
+        return GroupSpec(tuple(factors)), len(factors)
+    except ValidationError as exc:
+        raise ParseError(str(exc), 0) from None
+
+
+def parse_group(text: str) -> GroupSpec:
+    """Parse ``Cn1xCn2x...``, the group part of the ground-set grammar."""
+    parts = _split_top_level("".join(text.split()), "x")
+    group, idx = _group_prefix(parts)
+    if idx < len(parts):
+        raise ParseError(f"bad group factor {parts[idx][0]!r}", parts[idx][1])
+    return group
 
 
 def parse_ground_set(text: str) -> GroundSet:
@@ -653,17 +664,9 @@ def parse_ground_set(text: str) -> GroundSet:
     if not src:
         raise ParseError("empty ground-set spec", 0)
     parts = _split_top_level(src, "x")
-
-    factors: list[int] = []
-    idx = 0
-    while idx < len(parts):
-        m = _GROUP_RE.fullmatch(parts[idx][0])
-        if not m:
-            break
-        factors.append(int(m.group(1)))
-        idx += 1
+    group, idx = _group_prefix(parts)
     rest = parts[idx:]
-    if factors and not rest:
+    if idx and not rest:
         raise ParseError("group product needs a base set", len(src) - 1)
     if not rest or any(not chunk for chunk, _ in rest):
         raise ParseError("empty set component", parts[idx][1] if idx < len(parts) else 0)
@@ -690,13 +693,7 @@ def parse_ground_set(text: str) -> GroundSet:
             axes.extend([(lo, hi)] * power)
 
     base: GroundSet = explicit if explicit is not None else box(axes)
-    if not factors:
-        return base
-    try:
-        group = GroupSpec(tuple(factors))
-    except ValidationError as exc:
-        raise ParseError(str(exc), 0) from None
-    return GroupProduct(group, base)
+    return GroupProduct(group, base) if idx else base
 
 
 def emit_ground_set(ground: GroundSet) -> str:

@@ -79,17 +79,16 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from . import bounds as _bounds
+from .bounds import length_bound
 from .core import (
-    Box,
     ConsistencyError,
     Element,
     Explicit,
     GroundSet,
-    GroupProduct,
-    Interval,
     MixedElement,
     Sequence,
     ValidationError,
+    _sort_key,
     emit_ground_set,
     enumerate_elements,
     parse_ground_set,
@@ -109,12 +108,15 @@ class SearchStats:
 class DavenportResult:
     """Exact value or proven bracket for the largest atom length.
 
-    ``exact`` means the search depth was the full proven length bound, so
-    lower == upper == the Davenport constant; otherwise ``lower`` is the
-    longest atom within the requested depth and ``upper`` the best proven
-    bound.  ``witness`` is the longest atom with the smallest canonical key
-    whenever lower >= 1.  ``stats`` counts only the nodes visited before
-    the search stopped (see the module docstring).
+    ``exact`` means the search depth was the full structural bound
+    ``length_bound``, so lower == upper == the Davenport constant.
+    Otherwise ``lower`` is the longest atom within the requested depth and
+    ``upper`` the closed-form upper bound ``ground_bounds(ground).upper``.
+    A capped result can read lower == upper with exact False (``C2x[-1,1]^2``
+    capped at 8 gives [8, 8]): ``exact`` still says only whether the search
+    ran to ``length_bound``.  ``witness`` is the longest atom with the
+    smallest canonical key whenever lower >= 1.  ``stats`` counts only the
+    nodes visited before the search stopped (see the module docstring).
     """
 
     lower: int
@@ -122,55 +124,6 @@ class DavenportResult:
     exact: bool
     witness: Sequence | None
     stats: SearchStats
-
-
-# ---------------------------------------------------------------------------
-# proven length bounds
-
-
-def length_bound(ground: GroundSet) -> int:
-    """A proven upper bound on the length of any atom over ``ground``.
-
-    Dimension 1 uses the diameter (0 or 1 for single-sign sets); higher
-    dimensions use the rearrangement-based product bound over the tightest
-    enclosing symmetric box; group products multiply the group bound by
-    the base bound.  Axes that are identically zero are dropped first.
-    """
-    ground = _bounds.drop_zero_axes(ground)
-    if isinstance(ground, GroupProduct):
-        return _bounds.group_davenport(ground.group).upper * length_bound(ground.base)
-    if isinstance(ground, Interval):
-        lo, hi = ground.lo, ground.hi
-        if lo > 0 or hi < 0:
-            return 0
-        if lo == 0 or hi == 0:
-            return 1
-        return hi - lo
-    if isinstance(ground, Explicit):
-        if ground.dim == 1:
-            vals = [e.coords[0] for e in ground.elements]
-            has_pos = any(v > 0 for v in vals)
-            has_neg = any(v < 0 for v in vals)
-            if has_pos and has_neg:
-                return max(vals) - min(vals)
-            return 1 if 0 in vals else 0
-        ms = [
-            max(abs(e.coords[c]) for e in ground.elements) for c in range(ground.dim)
-        ]
-        return _bounds.box_upper(ms)
-    if isinstance(ground, Box):
-        ms = [max(abs(lo), abs(hi)) for lo, hi in ground.intervals]
-        return _bounds.box_upper(ms)
-    raise ValidationError(f"unknown ground set {ground!r}")
-
-
-def _refined_upper(ground: GroundSet, bound: int) -> int:
-    """Best proven upper bound for reporting an inexact result."""
-    ground = _bounds.drop_zero_axes(ground)
-    if isinstance(ground, Box) and ground.dim == 2:
-        m1, m2 = (max(abs(lo), abs(hi)) for lo, hi in ground.intervals)
-        return min(bound, _bounds.square_upper(m1, m2))
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +223,9 @@ class _Space:
 
     def flat_key(self, counts) -> tuple:
         out = []
-        for i, c in enumerate(counts):
+        for e, c in zip(self.elems, counts):
             if c:
-                e = self.elems[i]
-                key = (
-                    (e.group_part, e.lattice_part.coords)
-                    if isinstance(e, MixedElement)
-                    else e.coords
-                )
-                out.extend([key] * c)
+                out.extend([_sort_key(e)] * c)
         return tuple(out)
 
 
@@ -478,32 +425,28 @@ def davenport(
     """The Davenport constant of a finite ground set, by exhaustive search.
 
     The depth is the proven ``length_bound``; ``cap`` may lower (never
-    raise) it, and a capped search reports exact=False with the longest
-    atom found as the lower bound.  The search stops at the first atom as
-    long as the depth, or else exhausts the tree.  Results are
-    deterministic and, stats included, independent of ``threads``.  The
-    witness is re-certified by ``is_minimal`` (ConsistencyError if not).
+    raise) it.  A capped search reports exact=False, the longest atom
+    found as the lower bound and the closed-form ``ground_bounds`` upper
+    bound.  The search stops at the first atom as long as the depth, or
+    else exhausts the tree.  Results are deterministic and, stats
+    included, independent of ``threads``.  The witness is re-certified by
+    ``is_minimal`` (ConsistencyError if not).
     """
     t0 = perf_counter()
     bound = length_bound(ground)
-    if bound == 0:
-        return DavenportResult(0, 0, True, None, SearchStats(elapsed=perf_counter() - t0))
     depth = bound if cap is None else max(0, min(cap, bound))
-    if depth == 0:
-        return DavenportResult(
-            0, _refined_upper(ground, bound), False, None,
-            SearchStats(elapsed=perf_counter() - t0),
+    best_len, witness, stats = 0, None, SearchStats()
+    if depth > 0:
+        space, best_len, best_counts, _, stats = _run_search(
+            ground, depth, "dav", threads=threads, progress=progress
         )
-    space, best_len, best_counts, _, stats = _run_search(
-        ground, depth, "dav", threads=threads, progress=progress
-    )
+        witness = space.sequence_from_counts(best_counts) if best_counts else None
+        if witness is not None and not is_minimal(witness):
+            raise ConsistencyError(f"search witness failed its minimality certificate: {witness}")
     stats.elapsed = perf_counter() - t0
-    witness = space.sequence_from_counts(best_counts) if best_counts else None
-    if witness is not None and not is_minimal(witness):
-        raise ConsistencyError(f"search witness failed its minimality certificate: {witness}")
     if depth == bound:
         return DavenportResult(best_len, best_len, True, witness, stats)
-    return DavenportResult(best_len, _refined_upper(ground, bound), False, witness, stats)
+    return DavenportResult(best_len, _bounds.ground_bounds(ground).upper, False, witness, stats)
 
 
 def atoms_of_length(

@@ -15,6 +15,7 @@ from davkit import (
     group_davenport,
     hypercube_bounds,
     interval_davenport,
+    length_bound,
     parse_ground_set,
     product_bounds,
     square_upper,
@@ -175,6 +176,29 @@ class TestGroundBounds:
             result = davenport(parse_ground_set(text))
             assert result.exact
             assert report.lower <= result.lower <= report.upper
+
+
+class TestAgainstLengthBound:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the inputs of TestGroundBounds and of test_search.py's TestLengthBound
+            "[-2,3]", "[-2,2]", "{1,2}", "{0,1,2}", "{-2,3}", "[-1,1]^2", "C2x[-2,2]",
+            "[-1,1]x[0,0]", "{(0,0)}", "{(2,0),(-1,0)}", "[-2,4]", "C2x[-1,1]", "{-2,-1}",
+            "{0}", "C3x[-2,2]",
+            # and shapes without a closed form, or with a product bound
+            "[-1,2]x[-1,1]", "[-1,1]^3", "[-1,1]x[-2,2]x[-3,3]", "{-3,1,2}",
+            "{(1,1),(-1,1),(0,-1)}", "C2x[-1,1]^2", "C2xC2xC6x[-1,1]", "C2x[1,2]",
+            "[-15,21]", "[1,2]x[-1,1]",
+        ],
+    )
+    def test_closed_form_upper_within_length_bound(self, text):
+        ground = parse_ground_set(text)
+        report = ground_bounds(ground)
+        assert report.upper <= length_bound(ground)
+        if report.provenance[-1] in ("diameter-upper", "steinitz-box-upper"):
+            # no closed form: the upper bound is the structural one
+            assert report.upper == length_bound(ground)
 
 
 def test_finite_shadow_of_the_asymptotic():

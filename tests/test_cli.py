@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from davkit import ground_bounds, parse_ground_set
 from davkit import search as _search
 from davkit.cli import (
     EXIT_CONSISTENCY,
@@ -52,7 +55,16 @@ class TestDavenportCommand:
         report = json.loads(out)
         assert code == EXIT_OK
         assert report["exact"] is False
-        assert report["result"]["lower"] == 3 and report["result"]["upper"] == 6
+        assert report["result"]["lower"] == 3 and report["result"]["upper"] == 5
+
+    @pytest.mark.parametrize("ground,cap", [("[-3,3]", "3"), ("C2x[-1,1]^2", "8"), ("[-2,2]^2", "9")])
+    def test_capped_upper_and_provenance_from_ground_bounds(self, capsys, ground, cap):
+        _, out, _ = run_cli(capsys, "davenport", ground, "--cap", cap, "--no-stats")
+        report = json.loads(out)
+        bounds = ground_bounds(parse_ground_set(ground))
+        assert report["exact"] is False
+        assert report["result"]["upper"] == bounds.upper
+        assert report["provenance"] == ["exhaustive-search-capped", *bounds.provenance]
 
     def test_failed_witness_certificate_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(_search, "is_minimal", lambda s: False)
@@ -214,6 +226,25 @@ class TestErrorsAndSpec:
     def test_residue_tuple_longer_than_rank_is_usage(self, capsys):
         code, _, err = run_cli(capsys, "check-minimal", "C2x[-1,1]", "--seq", "(1,1|1)")
         assert code == EXIT_USAGE and "residues" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--group", "C2xCa"],
+            ["construct", "--kind", "hypercube", "--m", "1"],
+            ["verify", "--inverse", "--m", "2..a"],
+            ["reorder", "--seq", "3*(-3)", "--seed-element", "x"],
+            ["hunt-chi-gap", "--abs", "0"],
+        ],
+        ids=["group-factor", "missing-parameter", "range", "seed-element", "zero-abs"],
+    )
+    def test_bad_parameter_is_usage_error(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "davkit", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_degenerate_axis_computes(self, capsys):
         code, out, _ = run_cli(capsys, "davenport", "[-1,1]x[0,0]", "--no-stats")

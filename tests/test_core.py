@@ -24,7 +24,7 @@ from davkit import (
     parse_sequence,
 )
 from davkit.cli import JobSpec
-from davkit.core import contains_element
+from davkit.core import contains_element, parse_group
 
 from conftest import S
 
@@ -237,6 +237,24 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_ground_set("[-1,1]x[9,2]")
         assert err.value.position is not None
+
+    @pytest.mark.parametrize(
+        "text,position", [("{(1,a)}", 1), ("{(1|0)}", 1), ("{2,(1,a)}", 3), ("C2x{(1,a)}", 4)]
+    )
+    def test_bad_explicit_element_carries_position(self, text, position):
+        # explicit-set elements are read by the sequence element parser,
+        # which has no group context here
+        with pytest.raises(ParseError) as err:
+            parse_ground_set(text)
+        assert err.value.position == position
+
+    def test_group_grammar(self):
+        assert parse_group("C2xC4") == GroupSpec((2, 4))
+        assert parse_group(" C3 x C3 ") == GroupSpec((3, 3))
+        for text, position in [("C2xCa", 3), ("", 0), ("C4xC2", 0), ("C2x[-1,1]", 3)]:
+            with pytest.raises(ParseError) as err:
+                parse_group(text)
+            assert err.value.position == position, text
 
     @pytest.mark.parametrize(
         "text",

@@ -14,6 +14,7 @@ from davkit import (
     atoms_of_length,
     davenport,
     enumerate_elements,
+    ground_bounds,
     hunt_chi_gap,
     is_minimal,
     length_bound,
@@ -82,13 +83,31 @@ class TestDavenport:
     def test_cap_gives_bracket(self):
         r = davenport(Interval(-3, 3), cap=3)
         assert not r.exact
-        assert r.lower == 3 and r.upper == 6
+        # the upper bound is the closed form D([-3,3]) = 5
+        assert r.lower == 3 and r.upper == 5
         assert is_minimal(r.witness) and r.witness.length == 3
 
     def test_cap_with_zero_axis(self):
-        # the upper bound of a capped run is that of [-2,2], its diameter
+        # the upper bound of a capped run is that of [-2,2], the closed form 3
         r = davenport(parse_ground_set("[-2,2]x[0,0]"), cap=2)
-        assert (r.lower, r.upper, r.exact) == (2, 4, False)
+        assert (r.lower, r.upper, r.exact) == (2, 3, False)
+
+    @pytest.mark.parametrize(
+        "text,cap",
+        [("[-3,3]", 3), ("[-2,2]^2", 9), ("[-1,1]^3", 7), ("C5x[-2,2]", 6),
+         ("C2x[-1,1]^2", 8), ("{-3,1,2}", 3), ("[-3,4]", 0)],
+    )
+    def test_capped_upper_is_the_closed_form(self, text, cap):
+        ground = parse_ground_set(text)
+        r = davenport(ground, cap=cap)
+        assert not r.exact
+        assert r.upper == ground_bounds(ground).upper
+
+    def test_capped_bracket_can_close_without_exact(self):
+        # D(C2 x [-1,1]^2) = 8 is a closed form; the search did not run to
+        # length_bound = 32, so the result is still not exact
+        r = davenport(parse_ground_set("C2x[-1,1]^2"), cap=8)
+        assert (r.lower, r.upper, r.exact) == (8, 8, False)
 
     def test_cap_at_bound_still_exact(self):
         r = davenport(Interval(-2, 3), cap=100)
@@ -476,6 +495,18 @@ class TestProperties:
         assert r.lower == max((a.length for a in want), default=0)
         if r.witness is not None:
             assert r.witness in want
+
+    @settings(max_examples=25, deadline=None)
+    @given(_small_grounds)
+    def test_bounds_hold_against_brute(self, ground):
+        report = ground_bounds(ground)
+        bound = length_bound(ground)
+        assert report.upper <= bound
+        depth, want = _brute(ground)
+        longest = max((a.length for a in want), default=0)
+        assert longest <= report.upper
+        if depth == bound:  # the oracle saw every atom
+            assert report.lower <= longest
 
     @settings(max_examples=10, deadline=None)
     @given(_small_grounds)
