@@ -307,7 +307,7 @@ def ground_bounds(ground: GroundSet) -> BoundReport:
     if (vals := _line_values(ground)) is not None:
         lower = chi(vals)
         return BoundReport(lower, bound, lower == bound, ("chi-pair-lower", "diameter-upper"))
-    if isinstance(ground, Box) and ground.dim == 2:
+    if ground.dim == 2:  # every subset of the enclosing box
         return BoundReport(0, square_upper(*_half_widths(ground)), False, ("rectangle-reorder-upper",))
     return BoundReport(0, bound, False, ("steinitz-box-upper",))
 

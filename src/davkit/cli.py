@@ -544,25 +544,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_PARAM_KEYS = {
-    "davenport": ("cap",),
-    "atoms": ("length",),
-    "check-minimal": ("seq",),
-    "reorder": ("seq", "seed_element"),
-    "bounds": ("group",),
-    "construct": ("kind", "x", "y", "m", "M", "d", "n"),
-    "classify": ("seq", "m", "M"),
-    "verify": ("inverse", "powers", "m"),
-    "hunt-chi-gap": ("abs", "max_size"),
-}
+# the options every command takes; the rest of a namespace is the
+# command's own parameters, in declaration order
+_COMMON_KEYS = ("command", "ground", "format", "no_stats", "threads", "emit_spec")
 
 
 def job_from_args(args: argparse.Namespace) -> JobSpec:
-    params = {}
-    for key in _PARAM_KEYS[args.command]:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            params[key] = value
+    params = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in _COMMON_KEYS and value is not None and value is not False
+    }
     return JobSpec(
         command=args.command,
         ground=getattr(args, "ground", None),

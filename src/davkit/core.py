@@ -409,9 +409,6 @@ class Sequence:
             raise ValidationError("power must be >= 1")
         return Sequence.from_pairs((e, m * k) for e, m in self.entries)
 
-    def contains_sub(self, other: "Sequence") -> bool:
-        return all(self.multiplicity(e) >= m for e, m in other.entries)
-
     def __str__(self) -> str:
         if not self.entries:
             return "(empty)"

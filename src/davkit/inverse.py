@@ -115,21 +115,6 @@ def classify_symmetric_submax(m: int, s: Sequence) -> InverseVerdict:
     return _NO_MATCH
 
 
-_MIRROR = {
-    InverseCase.SYM_MAX_POS: InverseCase.SYM_MAX_NEG,
-    InverseCase.SYM_MAX_NEG: InverseCase.SYM_MAX_POS,
-    InverseCase.SUBMAX_PAIR_POS: InverseCase.SUBMAX_PAIR_NEG,
-    InverseCase.SUBMAX_PAIR_NEG: InverseCase.SUBMAX_PAIR_POS,
-    InverseCase.SUBMAX_UNIT_POS: InverseCase.SUBMAX_UNIT_NEG,
-    InverseCase.SUBMAX_UNIT_NEG: InverseCase.SUBMAX_UNIT_POS,
-    InverseCase.NONE: InverseCase.NONE,
-}
-
-
-def mirror_case(case: InverseCase) -> InverseCase:
-    return _MIRROR.get(case, case)
-
-
 @dataclass(frozen=True)
 class InverseCheck:
     name: str
@@ -145,10 +130,6 @@ class InverseReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[InverseCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
 
 
 def verify_inverse(

@@ -199,52 +199,3 @@ def greedy_box_reorder(s: Sequence) -> tuple[Ordering, tuple[tuple[int, int], ..
     else:
         ordering = Ordering(tuple(perm), tuple(flat[p] for p in perm), tuple(prefixes))
     return ordering, box
-
-
-# ---------------------------------------------------------------------------
-# checkable prefix-sum facts (used as test predicates)
-
-
-def prefix_sums_all_distinct(ordering: Ordering) -> bool:
-    """For an atom, prefix sums are pairwise distinct under any ordering:
-    a repeat would expose an interior zero-sum block."""
-    return len(set(ordering.prefix_sums)) == len(ordering.prefix_sums)
-
-
-def refine_exclusion_holds(ordering: Ordering) -> bool:
-    """For an atom of length >= 3: no prefix sum with index != 2 equals
-    x_{sigma(1)} + x_{sigma(3)} (indices 1-based)."""
-    elems = ordering.elements
-    if len(elems) < 3:
-        raise ValidationError("need length >= 3")
-    if isinstance(elems[0], tuple):
-        forbidden = tuple(a + b for a, b in zip(elems[0], elems[2]))
-    else:
-        forbidden = elems[0] + elems[2]
-    return all(
-        ordering.prefix_sums[i] != forbidden
-        for i in range(len(elems))
-        if i != 1
-    )
-
-
-def pigeonhole_length_ok(s: Sequence, ordering: Ordering, values: set[int]) -> bool:
-    """When every prefix sum of an atom lands in a set, the length cannot
-    exceed that set's size (all prefix sums are distinct members)."""
-    if not all(p in values for p in ordering.prefix_sums):
-        return True  # hypothesis not met; nothing to check
-    return s.length <= len(values)
-
-
-def pigeonhole_sharp_ok(s: Sequence, ordering: Ordering, values: set[int]) -> bool:
-    """Sharpened count: with length >= 3, x_{sigma(2)} != x_{sigma(3)} and
-    their sum also in the set, the bound improves to |set| - 1."""
-    if s.length < 3:
-        return True
-    e = ordering.elements
-    if e[1] == e[2]:
-        return True
-    extra = e[1] + e[2]
-    if extra not in values or not all(p in values for p in ordering.prefix_sums):
-        return True
-    return s.length <= len(values) - 1

@@ -4,7 +4,13 @@ Search space
 ------------
 Multisets over the ground set's elements, grown one element at a time in
 nondecreasing canonical order, so each multiset is generated exactly once
-and ties cannot occur (orderly generation).
+and ties cannot occur (orderly generation).  The root is the empty
+multiset; a node is a nonempty multiset that the search extends, so the
+root itself is not counted.  A closure ends its branch, so the atoms of
+one length are leaves of which none is a prefix of another, and the
+depth-first visit meets them in increasing canonical-key order: every
+list the search collects is already sorted within each length, and needs
+no sort by key.
 
 Pruning
 -------
@@ -88,10 +94,7 @@ from .core import (
     MixedElement,
     Sequence,
     ValidationError,
-    _sort_key,
-    emit_ground_set,
     enumerate_elements,
-    parse_ground_set,
 )
 from .zerosum import is_minimal
 
@@ -221,13 +224,6 @@ class _Space:
             (self.elems[i], c) for i, c in enumerate(counts) if c
         )
 
-    def flat_key(self, counts) -> tuple:
-        out = []
-        for e, c in zip(self.elems, counts):
-            if c:
-                out.extend([_sort_key(e)] * c)
-        return tuple(out)
-
 
 # ---------------------------------------------------------------------------
 # sequential DFS
@@ -243,8 +239,8 @@ def _search_sequential(
     space: _Space,
     depth_cap: int,
     mode: str,
-    target: int,
-    root_range: tuple[int, int] | None = None,
+    lo: int = 0,
+    hi: int | None = None,
     progress=None,
 ):
     """Explore the orderly multiset tree; see the module docstring.
@@ -252,11 +248,12 @@ def _search_sequential(
     mode 'dav'  - track the longest atom (the first found, which has the
                   smallest key), and stop at the first atom of length
                   ``depth_cap``;
-    mode 'len'  - collect atoms of length exactly ``target``;
     mode 'all'  - collect every atom of length <= depth_cap.
 
-    Returns (best_len, best_counts, collected, stats_tuple) where
-    ``collected`` is a list of multiplicity tuples over space.elems.
+    Only the subtrees of the one-element multisets elems[lo:hi] are
+    explored.  Returns (best_len, best_counts, collected, stats) where
+    ``collected`` is a list of multiplicity tuples over space.elems, in
+    visit order.
     """
     k = len(space.elems)
     deltas = space.deltas
@@ -275,14 +272,9 @@ def _search_sequential(
     best_len = 0
     best_counts: tuple[int, ...] | None = None
     nodes = prunes = closures = 0
-    t0 = perf_counter()
 
     def emit(length: int):
         nonlocal best_len, best_counts
-        if mode == "len":
-            if length == target:
-                collected.append(tuple(counts))
-            return
         if mode == "all":
             collected.append(tuple(counts))
         # equal lengths arrive in increasing key order, so the first atom
@@ -293,15 +285,12 @@ def _search_sequential(
             if mode == "dav" and length == depth_cap:
                 raise _DepthReached
 
-    def rec(start: int, depth: int, x: int, m: int):
+    def rec(start: int, depth: int, x: int, m: int, stop: int = k):
         nonlocal nodes, prunes, closures
-        nodes += 1
-        if progress is not None and nodes % _PROGRESS_STRIDE == 0:
-            progress(nodes, best_len)
         nd = depth + 1
         cl = CL[depth_cap - nd]
         cr = CR[depth_cap - nd]
-        for j in range(start, k):
+        for j in range(start, stop):
             nx = x + packed[j]
             if 0 <= nx <= cmax and nx in closed:  # the range test is the cheap one
                 closures += 1  # P is zero-sum free, so P + e is an atom
@@ -322,68 +311,49 @@ def _search_sequential(
             if nm & zero_bit:
                 prunes += 1
                 continue
+            nodes += 1
+            if progress is not None and nodes % _PROGRESS_STRIDE == 0:
+                progress(nodes, best_len)
             counts[j] += 1
             rec(j, nd, nx, nm)
             counts[j] -= 1
 
-    def roots(lo: int, hi: int):
-        nonlocal nodes, prunes, closures
-        cl = CL[depth_cap - 1]
-        cr = CR[depth_cap - 1]
-        for j0 in range(lo, hi):
-            # subtree whose first (smallest) element is elems[j0]
-            nodes += 1
-            x = packed[j0]
-            if x in closed:
-                closures += 1
-                counts[j0] += 1
-                emit(1)
-                counts[j0] -= 1
-                continue
-            if (x + cl[j0]) & (cr[j0] - x) & H != H:
-                prunes += 1
-                continue
-            counts[j0] += 1
-            rec(j0, 1, x, 1 << (offset + deltas[j0]))
-            counts[j0] -= 1
-
     try:
-        roots(*(root_range or (0, k)))
+        # the root is the empty multiset: total 0, no reachable sum
+        rec(lo, 0, 0, 0, k if hi is None else hi)
     except _DepthReached:
         pass
-    elapsed = perf_counter() - t0
-    return best_len, best_counts, collected, (nodes, prunes, closures, elapsed)
+    return best_len, best_counts, collected, SearchStats(nodes, prunes, closures)
 
 
 # ---------------------------------------------------------------------------
 # parallel driver
 
+# (space, depth_cap, mode) of a pool worker, set once by the pool initializer
+_worker: tuple[_Space, int, str] | None = None
 
-def _parallel_task(args):
-    text, depth_cap, mode, target, j0 = args
-    ground = parse_ground_set(text)
-    space = _Space(ground, depth_cap)
-    return _search_sequential(space, depth_cap, mode, target, root_range=(j0, j0 + 1))
+
+def _init_worker(space: _Space, depth_cap: int, mode: str) -> None:
+    global _worker
+    _worker = (space, depth_cap, mode)
+
+
+def _parallel_task(j0: int):
+    space, depth_cap, mode = _worker
+    return _search_sequential(space, depth_cap, mode, j0, j0 + 1)
 
 
 def _run_search(
     ground: GroundSet,
     depth_cap: int,
     mode: str,
-    target: int = 0,
     threads: int = 1,
     progress=None,
 ):
     space = _Space(ground, depth_cap)
     k = len(space.elems)
     if threads <= 1 or k <= 1:
-        best_len, best_counts, collected, st = _search_sequential(
-            space, depth_cap, mode, target, progress=progress
-        )
-        stats = SearchStats(*st)
-        return space, best_len, best_counts, collected, stats
-    text = emit_ground_set(ground)
-    tasks = [(text, depth_cap, mode, target, j0) for j0 in range(k)]
+        return space, *_search_sequential(space, depth_cap, mode, progress=progress)
     best_len = 0
     best_counts = None
     collected = []
@@ -391,17 +361,18 @@ def _run_search(
     # imported here, not at the top: most runs never start a pool
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(threads, k)) as pool:
+    with ProcessPoolExecutor(
+        max_workers=min(threads, k), initializer=_init_worker, initargs=(space, depth_cap, mode)
+    ) as pool:
         # merge in root order, as the sequential run visits them.  A 'dav'
         # root that reaches the depth ends that run too, so the roots after
         # it are not summed, and those not yet started are cancelled.
-        results = pool.map(_parallel_task, tasks)
+        results = pool.map(_parallel_task, range(k))
         for blen, bcounts, coll, st in results:
             collected.extend(coll)
-            stats.nodes += st[0]
-            stats.prunes += st[1]
-            stats.closures += st[2]
-            stats.elapsed = max(stats.elapsed, st[3])
+            stats.nodes += st.nodes
+            stats.prunes += st.prunes
+            stats.closures += st.closures
             # every key of root j0 starts with elems[j0]'s key, so a tie
             # keeps the earlier root's witness
             if blen > best_len:
@@ -458,11 +429,9 @@ def atoms_of_length(
     bound = length_bound(ground)
     if length > bound:
         return []
-    space, _, _, collected, _ = _run_search(
-        ground, length, "len", target=length, threads=threads
-    )
-    collected.sort(key=space.flat_key)
-    return [space.sequence_from_counts(c) for c in collected]
+    space, _, _, collected, _ = _run_search(ground, length, "all", threads=threads)
+    # the search emits the atoms of one length in canonical-key order
+    return [space.sequence_from_counts(c) for c in collected if sum(c) == length]
 
 
 def all_atoms(ground: GroundSet, max_len: int | None = None) -> list[Sequence]:
@@ -473,7 +442,8 @@ def all_atoms(ground: GroundSet, max_len: int | None = None) -> list[Sequence]:
     if depth == 0:
         return []
     space, _, _, collected, _ = _run_search(ground, depth, "all")
-    collected.sort(key=lambda c: (sum(c), space.flat_key(c)))
+    # stable: within one length the search order is the canonical order
+    collected.sort(key=sum)
     return [space.sequence_from_counts(c) for c in collected]
 
 

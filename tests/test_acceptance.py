@@ -30,9 +30,9 @@ from davkit import (
 )
 from davkit.cli import EXIT_OK, JobSpec, run
 from davkit.inverse import symmetric_max_templates, symmetric_submax_templates
-from davkit.reorder import prefix_sums_all_distinct, refine_exclusion_holds
 from davkit.search import all_atoms
 
+from conftest import prefix_sums_all_distinct, refine_exclusion_holds
 
 
 def _delta(m: int) -> int:

@@ -164,6 +164,9 @@ class TestGroundBounds:
             ("[-1,1]x[0,0]", 2, 2),
             ("{(0,0)}", 1, 1),
             ("{(2,0),(-1,0)}", 3, 3),
+            # 2-D explicit sets: the rectangle bound of the enclosing box
+            ("{(1,1),(-1,1),(0,-1)}", 0, 15),
+            ("{(2,1),(-1,0),(0,-1),(-1,1)}", 0, 25),
         ],
     )
     def test_shapes(self, text, lower, upper):

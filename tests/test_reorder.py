@@ -14,14 +14,30 @@ from davkit import (
     is_nyctalopic,
     nyctalopic_extend,
 )
-from davkit.reorder import (
-    pigeonhole_length_ok,
-    pigeonhole_sharp_ok,
-    prefix_sums_all_distinct,
-    refine_exclusion_holds,
-)
 
-from conftest import S, one_d_values
+from conftest import S, one_d_values, prefix_sums_all_distinct, refine_exclusion_holds
+
+
+def pigeonhole_length_ok(s, ordering, values: set[int]) -> bool:
+    """When every prefix sum of an atom lands in a set, the length cannot
+    exceed that set's size (all prefix sums are distinct members)."""
+    if not all(p in values for p in ordering.prefix_sums):
+        return True  # hypothesis not met; nothing to check
+    return s.length <= len(values)
+
+
+def pigeonhole_sharp_ok(s, ordering, values: set[int]) -> bool:
+    """Sharpened count: with length >= 3, x_{sigma(2)} != x_{sigma(3)} and
+    their sum also in the set, the bound improves to |set| - 1."""
+    if s.length < 3:
+        return True
+    e = ordering.elements
+    if e[1] == e[2]:
+        return True
+    extra = e[1] + e[2]
+    if extra not in values or not all(p in values for p in ordering.prefix_sums):
+        return True
+    return s.length <= len(values) - 1
 
 
 class TestIsNyctalopic:

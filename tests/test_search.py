@@ -21,6 +21,7 @@ from davkit import (
     max_atoms,
     parse_ground_set,
 )
+from davkit.core import _sort_key
 from davkit.search import _run_search, _Space
 
 from conftest import S
@@ -28,6 +29,10 @@ from conftest import S
 
 def explicit(*values) -> Explicit:
     return Explicit(tuple(Element.of(v) for v in values))
+
+
+def _canonical_key(s) -> tuple:
+    return tuple(_sort_key(e) for e in s.flatten())
 
 
 class TestLengthBound:
@@ -154,11 +159,11 @@ class TestEarlyStop:
         assert r.witness == next(a for a in atoms if a.length == longest)
 
     def test_node_count_pinned(self):
-        # the full tree to the depth 12 has 37,272 nodes; the first root's
+        # the full tree to the depth 12 has 37,254 nodes; the first root's
         # leftmost branch already reaches an atom of length 12
         r = davenport(parse_ground_set("C6x[-1,1]"))
         assert r.exact and r.lower == 12
-        assert r.stats.nodes == 12
+        assert r.stats.nodes == 11
 
 
 class TestAtomsOfLength:
@@ -181,10 +186,13 @@ class TestAtomsOfLength:
     def test_length_above_bound_is_empty(self):
         assert atoms_of_length(Interval(-2, 2), 9) == []
 
-    def test_output_sorted_and_minimal(self):
-        atoms = atoms_of_length(Interval(-3, 3), 4)
-        assert atoms == sorted(atoms, key=lambda s: tuple(e.coords for e in s.flatten()))
-        assert all(is_minimal(a) for a in atoms)
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("text,length", [("[-3,3]", 4), ("[-2,2]^2", 5), ("C2xC4x[-1,1]", 4)])
+    def test_output_sorted_and_minimal(self, text, length, threads):
+        # the search emits atoms of one length in canonical-key order; no sort follows
+        atoms = atoms_of_length(parse_ground_set(text), length, threads=threads)
+        assert atoms == sorted(atoms, key=_canonical_key)
+        assert all(a.length == length and is_minimal(a) for a in atoms)
 
 
 class TestMaxAtoms:
@@ -281,6 +289,9 @@ class TestAllAtoms:
     def test_lengths_sorted(self):
         lengths = [a.length for a in all_atoms(Interval(-2, 3))]
         assert lengths == sorted(lengths)
+        atoms = all_atoms(parse_ground_set("C2x[-1,1]"))
+        order = [(a.length, _canonical_key(a)) for a in atoms]
+        assert order == sorted(order)
 
     def test_matches_brute_in_two_dimensions(self):
         from davkit import enumerate_elements
@@ -307,19 +318,22 @@ def test_hunt_chi_gap_smoke():
 
 class TestTreePinned:
     """(nodes, prunes, closures) at threads=1: the pruning decisions of the
-    guarded running total are those of the per-axis inequalities."""
+    guarded running total are those of the per-axis inequalities.  A node is
+    a multiset the search extends; the empty root is not counted."""
 
     @pytest.mark.parametrize(
         "text,cap,counts",
         [
-            ("[-7,7]", None, (23220, 132666, 560)),
-            ("[-6,10]", None, (31715, 269201, 957)),
-            ("[-1,2]x[-1,1]", None, (37507, 160360, 39)),
-            ("[-1,1]^3", 7, (77, 540, 1)),
-            ("{(2,1),(-1,0),(0,-1),(-1,1)}", None, (1591, 1775, 3)),
-            ("C3x[-2,2]", None, (11832, 41949, 406)),
-            ("C2x[-1,1]^2", 8, (260, 941, 2)),
-            ("C3xC3x{-1,1}", None, (10, 9, 1)),
+            ("[-7,7]", None, (23205, 132666, 560)),
+            ("[-6,10]", None, (31698, 269201, 957)),
+            ("[-1,2]x[-1,1]", None, (37495, 160360, 39)),
+            ("[-1,1]^3", 7, (76, 540, 1)),
+            ("{(2,1),(-1,0),(0,-1),(-1,1)}", None, (1587, 1775, 3)),
+            ("C3x[-2,2]", None, (11817, 41949, 406)),
+            ("C2x[-1,1]^2", 8, (259, 941, 2)),
+            ("C3xC3x{-1,1}", None, (9, 9, 1)),
+            # the only root is a closure: no multiset is extended
+            ("{0}", None, (0, 0, 1)),
         ],
     )
     def test_davenport_counts(self, text, cap, counts):
@@ -327,13 +341,13 @@ class TestTreePinned:
         assert (st_.nodes, st_.prunes, st_.closures) == counts
 
     def test_atoms_of_length_counts(self):
-        _, _, _, collected, st_ = _run_search(parse_ground_set("[-5,5]"), 9, "len", target=9)
-        assert len(collected) == 2
-        assert (st_.nodes, st_.prunes, st_.closures) == (793, 3067, 100)
+        _, _, _, collected, st_ = _run_search(parse_ground_set("[-5,5]"), 9, "all")
+        assert len([c for c in collected if sum(c) == 9]) == 2
+        assert (st_.nodes, st_.prunes, st_.closures) == (782, 3067, 100)
 
     @pytest.mark.parametrize(
         "text,depth,counts",
-        [("C2xC4x[-1,1]", 5, (5727, 27454, 1419)), ("C2xC2x[-1,1]", 6, (421, 1073, 83))],
+        [("C2xC4x[-1,1]", 5, (5703, 27454, 1419)), ("C2xC2x[-1,1]", 6, (409, 1073, 83))],
     )
     def test_rank_two_all_atoms_counts(self, text, depth, counts):
         _, _, _, collected, st_ = _run_search(parse_ground_set(text), depth, "all")

@@ -21,6 +21,11 @@ from davkit.zerosum import is_minimal_scan, proper_zero_subsum_scan
 from conftest import S
 
 
+def contains_sub(s: Sequence, sub: Sequence) -> bool:
+    """``sub`` is a sub-multiset of ``s``."""
+    return all(s.multiplicity(e) >= m for e, m in sub.entries)
+
+
 class TestIsZeroSum:
     def test_basic(self):
         assert is_zero_sum(S({2: 1, -1: 2}))
@@ -61,7 +66,7 @@ class TestFindProperZeroSubsum:
         w = find_proper_zero_subsum(s)
         assert w is not None
         assert w.sub.total.is_zero
-        assert s.contains_sub(w.sub) and w.sub != s
+        assert contains_sub(s, w.sub) and w.sub != s
         assert proper_zero_subsum_scan(s) is not None
 
     def test_witness_is_deterministic(self):
@@ -169,6 +174,6 @@ def test_dp_agrees_with_scan_randomised():
         assert (dp is None) == (scan is None)
         if dp is not None:
             assert dp.sub.total.is_zero
-            assert s.contains_sub(dp.sub) and dp.sub != s and dp.sub.length > 0
+            assert contains_sub(s, dp.sub) and dp.sub != s and dp.sub.length > 0
         if is_zero_sum(s):
             assert is_minimal(s) == is_minimal_scan(s)
