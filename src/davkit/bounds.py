@@ -206,6 +206,10 @@ def group_davenport(G: GroupSpec) -> BoundReport:
     )
 
 
+# {0}, the set that a slice down to the zero element leaves: its one atom is 0
+_ZERO = Interval(0, 0)
+
+
 def _symmetric_cube_shape(ground: GroundSet) -> tuple[int, int] | None:
     """(m, d) when the set is [-m, m]^d, else None."""
     if isinstance(ground, Interval):
@@ -220,26 +224,40 @@ def _symmetric_cube_shape(ground: GroundSet) -> tuple[int, int] | None:
     return None
 
 
-def drop_zero_axes(ground: GroundSet) -> GroundSet:
-    """The projection of ``ground`` onto its axes that are not identically
-    zero.  Projection maps atoms to atoms of the same length, one to one,
-    so both sets share every Davenport bound.  A set whose every axis is
-    zero is {0}, returned as the interval [0,0]."""
+def zero_slice(ground: GroundSet) -> GroundSet | None:
+    """The part of ``ground`` that atoms can use, with its single-signed
+    axes dropped; None when no atom exists.
+
+    On an axis where no coordinate is negative, or none is positive, a
+    zero sum uses only elements that are 0 there, so every atom lies in
+    that slice; an identically zero axis is the case where the slice is
+    the whole set.  Dropping the axis then maps atoms to atoms of the same
+    length, one to one, so the result shares every Davenport bound with
+    ``ground``.  A box needs one pass.  An explicit set is sliced again
+    until no axis has a single sign, because a slice can leave a new axis
+    single-signed.  A slice down to the zero element is {0}, returned as
+    the interval [0,0]; G x X slices its base.
+    """
     if isinstance(ground, GroupProduct):
-        base = drop_zero_axes(ground.base)
-        return ground if base is ground.base else GroupProduct(ground.group, base)
-    if isinstance(ground, Box):
-        keep = [iv for iv in ground.intervals if iv != (0, 0)]
-        if len(keep) == len(ground.intervals):
-            return ground
-        return box(keep) if keep else Interval(0, 0)
-    if isinstance(ground, Explicit) and ground.dim > 1:
-        axes = [c for c in range(ground.dim) if any(e.coords[c] for e in ground.elements)]
-        if len(axes) == ground.dim:
-            return ground
-        if not axes:
-            return Interval(0, 0)
-        return Explicit(tuple(Element(tuple(e.coords[c] for c in axes)) for e in ground.elements))
+        base = zero_slice(ground.base)
+        return None if base is None else GroupProduct(ground.group, base)
+    if isinstance(ground, (Interval, Box)):
+        ivs = ground.intervals if isinstance(ground, Box) else [(ground.lo, ground.hi)]
+        if any(lo > 0 or hi < 0 for lo, hi in ivs):
+            return None
+        keep = [(lo, hi) for lo, hi in ivs if lo < 0 < hi]
+        return box(keep) if keep else _ZERO
+    if isinstance(ground, Explicit):
+        points = [e.coords for e in ground.elements]
+        while points[0]:
+            axis = next((c for c in range(len(points[0]))
+                         if min(p[c] for p in points) >= 0 or max(p[c] for p in points) <= 0), None)
+            if axis is None:
+                return Explicit(tuple(Element(p) for p in points))
+            points = [p[:axis] + p[axis + 1:] for p in points if p[axis] == 0]
+            if not points:
+                return None
+        return _ZERO
     return ground
 
 
@@ -261,44 +279,43 @@ def length_bound(ground: GroundSet) -> int:
     """A proven upper bound on the length of any atom over ``ground``: the
     structural bound that sizes the search depth.
 
-    Dimension 1 uses the diameter (0 or 1 for single-sign sets); higher
+    The set is first reduced to its ``zero_slice``: 0 when no atom
+    exists, 1 for {0}.  Otherwise dimension 1 uses the diameter; higher
     dimensions use the rearrangement-based product bound over the tightest
     enclosing symmetric box; group products multiply the group bound by
-    the base bound.  Axes that are identically zero are dropped first.
+    the base bound.
     """
-    return _structural(drop_zero_axes(ground))
+    ground = zero_slice(ground)
+    return 0 if ground is None else _structural(ground)
 
 
 def _structural(ground: GroundSet) -> int:
-    """``length_bound`` of a set without identically-zero axes."""
+    """``length_bound`` of a set that ``zero_slice`` returned."""
     if isinstance(ground, GroupProduct):
         return group_davenport(ground.group).upper * _structural(ground.base)
-    if isinstance(ground, Interval):
-        lo, hi = ground.lo, ground.hi
-    elif (vals := _line_values(ground)) is not None:
-        lo, hi = min(vals), max(vals)
-    elif isinstance(ground, (Box, Explicit)):
-        return box_upper(_half_widths(ground))
-    else:
-        raise ValidationError(f"unknown ground set {ground!r}")
-    if lo > 0 or hi < 0:
-        return 0
-    if lo == 0 or hi == 0:
+    if ground == _ZERO:
         return 1
-    return hi - lo
+    if isinstance(ground, Interval):
+        return ground.hi - ground.lo
+    if (vals := _line_values(ground)) is not None:
+        return diam(vals)
+    if isinstance(ground, (Box, Explicit)):
+        return box_upper(_half_widths(ground))
+    raise ValidationError(f"unknown ground set {ground!r}")
 
 
 def ground_bounds(ground: GroundSet) -> BoundReport:
     """Best closed-form bracket for a ground set, by shape.  Where no
     closed form applies, the upper bound is ``length_bound``; it is never
     above it."""
-    ground = drop_zero_axes(ground)
+    ground = zero_slice(ground)
+    if ground is None:
+        return BoundReport(0, 0, True, ("single-sign-no-atoms",))
     if isinstance(ground, GroupProduct):
         return product_bounds(ground.group, ground.base)
+    if ground == _ZERO:
+        return BoundReport(1, 1, True, ("zero-only-atom",))
     bound = _structural(ground)
-    if bound <= 1:
-        tag = "zero-only-atom" if bound else "single-sign-no-atoms"
-        return BoundReport(bound, bound, True, (tag,))
     if isinstance(ground, Interval):
         return interval_davenport(-ground.lo, ground.hi)
     shape = _symmetric_cube_shape(ground)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -25,7 +24,6 @@ from . import reorder as _reorder
 from . import search as _search
 from .core import (
     ConsistencyError,
-    DavkitError,
     GroundSet,
     GroupProduct,
     GuardExceededError,
@@ -48,18 +46,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_CONSISTENCY = 3
-
-COMMANDS = (
-    "davenport",
-    "atoms",
-    "check-minimal",
-    "reorder",
-    "bounds",
-    "construct",
-    "classify",
-    "verify",
-    "hunt-chi-gap",
-)
 
 
 @dataclass
@@ -94,22 +80,6 @@ class JobSpec:
         )
 
 
-def _resolve_threads(requested: int, ground: GroundSet | None) -> int:
-    """0 means auto: parallelise only when the search space looks big
-    enough to pay for worker processes."""
-    if requested > 0:
-        return requested
-    if ground is None:
-        return 1
-    try:
-        work = ground.cardinality() * _bounds.length_bound(ground)
-    except DavkitError:
-        return 1
-    if work >= 20_000:
-        return max(1, min(4, os.cpu_count() or 1))
-    return 1
-
-
 def _stats_json(stats: _search.SearchStats) -> dict:
     return {
         "nodes": stats.nodes,
@@ -119,11 +89,8 @@ def _stats_json(stats: _search.SearchStats) -> dict:
     }
 
 
-def _progress_printer():
-    def emit(nodes: int, best: int):
-        print(f"progress: nodes={nodes} best={best}", file=sys.stderr, flush=True)
-
-    return emit
+def _print_progress(nodes: int, best: int) -> None:
+    print(f"progress: nodes={nodes} best={best}", file=sys.stderr, flush=True)
 
 
 def _require_ground(spec: JobSpec) -> GroundSet:
@@ -160,9 +127,7 @@ def _parse_seq_param(spec: JobSpec, ground: GroundSet | None) -> Sequence:
 def _cmd_davenport(spec: JobSpec):
     ground = _require_ground(spec)
     cap = spec.parameters.get("cap")
-    threads = _resolve_threads(spec.threads, ground)
-    progress = _progress_printer() if threads == 1 else None
-    result = _search.davenport(ground, cap=cap, threads=threads, progress=progress)
+    result = _search.davenport(ground, cap=cap, threads=spec.threads, progress=_print_progress)
     payload = {
         "value": result.lower if result.exact else None,
         "lower": result.lower,
@@ -170,13 +135,7 @@ def _cmd_davenport(spec: JobSpec):
         "exact": result.exact,
         "witness": sequence_to_json(result.witness) if result.witness else None,
     }
-    if result.exact:
-        provenance = ["exhaustive-search"]
-    else:
-        provenance = ["exhaustive-search-capped"] + list(
-            _bounds.ground_bounds(ground).provenance
-        )
-    return EXIT_OK, payload, provenance, result.exact, _stats_json(result.stats)
+    return EXIT_OK, payload, list(result.provenance), result.exact, _stats_json(result.stats)
 
 
 def _cmd_atoms(spec: JobSpec):
@@ -184,8 +143,7 @@ def _cmd_atoms(spec: JobSpec):
     length = spec.parameters.get("length")
     if length is None:
         raise ValidationError("missing --length")
-    threads = _resolve_threads(spec.threads, ground)
-    atoms = _search.atoms_of_length(ground, int(length), threads=threads)
+    atoms = _search.atoms_of_length(ground, int(length), threads=spec.threads)
     payload = {
         "length": int(length),
         "count": len(atoms),
@@ -354,7 +312,7 @@ def _cmd_verify(spec: JobSpec):
     ok = True
     if do_inverse:
         ms = _parse_range(p.get("m") or "2..5")
-        report = _inverse.verify_inverse(ms)
+        report = _inverse.verify_inverse(ms, threads=spec.threads)
         ok = ok and report.ok
         for c in report.checks:
             checks.append(
@@ -390,7 +348,7 @@ def _cmd_hunt_chi_gap(spec: JobSpec):
     report = _search.hunt_chi_gap(
         3 if p.get("abs") is None else int(p["abs"]),
         3 if p.get("max_size") is None else int(p["max_size"]),
-        threads=_resolve_threads(spec.threads, None),
+        threads=spec.threads,
     )
     return EXIT_OK, report, ["exploration"], True, None
 

@@ -31,6 +31,7 @@ from math import gcd
 
 from .core import (
     ConsistencyError,
+    DEFAULT_SCAN_CAP,
     Element,
     GroupSpec,
     GuardExceededError,
@@ -43,8 +44,6 @@ from .zerosum import is_minimal
 
 #: Above this length, constructions are returned uncertified.
 CERTIFY_LENGTH_CAP = 200
-
-_POWER_CHECK_GUARD = 10**7
 
 
 @dataclass(frozen=True)
@@ -214,16 +213,14 @@ class PowerCheckReport:
     ok: bool
 
 
-def power_subsequence_check(
-    m: int, d: int, u: int, guard: int | None = None
-) -> PowerCheckReport:
+def power_subsequence_check(m: int, d: int, u: int) -> PowerCheckReport:
     """Exhaustively verify that the nonempty zero-sum sub-multisets of the
     u-th power of the hypercube atom are exactly its powers 1..u."""
     if u < 1:
         raise ValidationError("power must be >= 1")
     base = hypercube_atom(m, d, certify=False)
     big = base.power(u)
-    cap = resolve_guard(_POWER_CHECK_GUARD, guard)
+    cap = resolve_guard(DEFAULT_SCAN_CAP)
     selections = 1
     for _, mult in big.entries:
         selections *= mult + 1

@@ -38,7 +38,7 @@ I64_MAX = 2**63 - 1
 DEFAULT_ENUM_CAP = 10**6
 #: Default cap on brute-force candidate/selection scans.
 DEFAULT_SCAN_CAP = 10**7
-#: Environment variable overriding every enumeration guard.
+#: Environment variable overriding every guard (see ``resolve_guard``).
 GUARD_ENV_VAR = "DAVKIT_GUARD"
 
 
@@ -83,10 +83,8 @@ class ConsistencyError(DavkitError):
     """An internally certified identity failed; indicates a bug, never expected."""
 
 
-def resolve_guard(default: int, override: int | None = None) -> int:
-    """Guard value: an explicit override beats DAVKIT_GUARD beats the default."""
-    if override is not None:
-        return int(override)
+def resolve_guard(default: int) -> int:
+    """Guard value: DAVKIT_GUARD if set, else the default."""
     env = os.environ.get(GUARD_ENV_VAR)
     return int(env) if env else default
 
@@ -532,13 +530,13 @@ class GroupProduct(GroundSet):
         return self.base.dim
 
 
-def enumerate_elements(ground: GroundSet, cap: int | None = None) -> list[AnyElement]:
+def enumerate_elements(ground: GroundSet) -> list[AnyElement]:
     """All elements of a ground set in canonical order, guard-checked.
 
     Raises CardinalityGuardError (reporting the exact cardinality) instead
     of materialising more than the guard allows.
     """
-    guard = resolve_guard(DEFAULT_ENUM_CAP, cap)
+    guard = resolve_guard(DEFAULT_ENUM_CAP)
     card = ground.cardinality()
     if card > guard:
         raise CardinalityGuardError(card, guard)
@@ -550,7 +548,7 @@ def enumerate_elements(ground: GroundSet, cap: int | None = None) -> list[AnyEle
     if isinstance(ground, Explicit):
         return list(ground.elements)
     if isinstance(ground, GroupProduct):
-        base = enumerate_elements(ground.base, cap=guard)
+        base = enumerate_elements(ground.base)
         return [
             MixedElement(ground.group, res, e)
             for res in ground.group.elements()

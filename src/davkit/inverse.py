@@ -132,16 +132,14 @@ class InverseReport:
         return all(c.ok for c in self.checks)
 
 
-def verify_inverse(
-    ms, pairs=None, threads: int = 1
-) -> InverseReport:
+def verify_inverse(ms, threads: int = 1) -> InverseReport:
     """Exhaustively confirm the interval classifications.
 
     For each m: the atoms of length 2m-1 over [-m, m] must be exactly the
     two maximal templates (m >= 2), and the atoms of length 2m-2 exactly
     the near-maximal list (m >= 3).  For each coprime (m, M) pair, the
-    atoms of length m+M over [-m, M] must be exactly {M^m * (-m)^M}.
-    ``pairs`` defaults to all coprime pairs drawn from ``ms``.
+    atoms of length m+M over [-m, M] must be exactly {M^m * (-m)^M}; the
+    pairs are all coprime pairs drawn from ``ms``.
     """
     ms = sorted(set(int(m) for m in ms))
     if any(m < 1 for m in ms):
@@ -169,16 +167,8 @@ def verify_inverse(
             found = atoms_of_length(ground, 2 * m - 2, threads=threads)
             record(f"[-{m},{m}] length {2 * m - 2}", expected, found)
 
-    if pairs is None:
-        pairs = [
-            (m, M)
-            for m in ms
-            for M in ms
-            if gcd(m, M) == 1
-        ]
+    pairs = [(m, M) for m in ms for M in ms if gcd(m, M) == 1]
     for m, M in pairs:
-        if gcd(m, M) != 1:
-            raise ValidationError(f"pair ({m},{M}) is not coprime")
         expected = {Sequence.from_pairs([(M, m), (-m, M)])}
         found = atoms_of_length(Interval(-m, M), m + M, threads=threads)
         record(f"[-{m},{M}] length {m + M}", expected, found)

@@ -81,6 +81,7 @@ where the search stopped.  Modes 'len' and 'all' never stop early.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -120,6 +121,9 @@ class DavenportResult:
     ran to ``length_bound``.  ``witness`` is the longest atom with the
     smallest canonical key whenever lower >= 1.  ``stats`` counts only the
     nodes visited before the search stopped (see the module docstring).
+    ``provenance`` names what licenses the bracket: ``exhaustive-search``
+    when exact, else ``exhaustive-search-capped`` followed by the tags of
+    the closed form that gave ``upper``.
     """
 
     lower: int
@@ -127,6 +131,7 @@ class DavenportResult:
     exact: bool
     witness: Sequence | None
     stats: SearchStats
+    provenance: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +355,17 @@ def _run_search(
     threads: int = 1,
     progress=None,
 ):
+    """Build the search space and run the search, in ``threads`` worker
+    processes, or in this process at threads 1.  Threads 0 means auto:
+    workers only when the space looks big enough to pay for them.
+    Returns (space, best_len, best_counts, collected, stats)."""
+    if threads < 0:
+        raise ValidationError(f"threads must be >= 0, got {threads}")
     space = _Space(ground, depth_cap)
     k = len(space.elems)
-    if threads <= 1 or k <= 1:
+    if threads == 0:
+        threads = min(4, os.cpu_count() or 1) if k * length_bound(ground) >= 20_000 else 1
+    if threads == 1 or k <= 1:
         return space, *_search_sequential(space, depth_cap, mode, progress=progress)
     best_len = 0
     best_counts = None
@@ -398,10 +411,11 @@ def davenport(
     The depth is the proven ``length_bound``; ``cap`` may lower (never
     raise) it.  A capped search reports exact=False, the longest atom
     found as the lower bound and the closed-form ``ground_bounds`` upper
-    bound.  The search stops at the first atom as long as the depth, or
-    else exhausts the tree.  Results are deterministic and, stats
-    included, independent of ``threads``.  The witness is re-certified by
-    ``is_minimal`` (ConsistencyError if not).
+    bound, with that bound's provenance.  The search stops at the first
+    atom as long as the depth, or else exhausts the tree.  Results are
+    deterministic and, stats included, independent of ``threads`` (0 =
+    auto).  The witness is re-certified by ``is_minimal``
+    (ConsistencyError if not).
     """
     t0 = perf_counter()
     bound = length_bound(ground)
@@ -416,8 +430,10 @@ def davenport(
             raise ConsistencyError(f"search witness failed its minimality certificate: {witness}")
     stats.elapsed = perf_counter() - t0
     if depth == bound:
-        return DavenportResult(best_len, best_len, True, witness, stats)
-    return DavenportResult(best_len, _bounds.ground_bounds(ground).upper, False, witness, stats)
+        return DavenportResult(best_len, best_len, True, witness, stats, ("exhaustive-search",))
+    report = _bounds.ground_bounds(ground)
+    provenance = ("exhaustive-search-capped", *report.provenance)
+    return DavenportResult(best_len, report.upper, False, witness, stats, provenance)
 
 
 def atoms_of_length(

@@ -35,6 +35,7 @@ from .core import (
     resolve_guard,
 )
 
+#: Default cap on the states of the minimality DP (DAVKIT_GUARD overrides it).
 DEFAULT_STATE_CAP = 2_000_000
 
 
@@ -83,9 +84,7 @@ def is_zero_sum(s: Sequence) -> bool:
     return s.total.is_zero
 
 
-def find_proper_zero_subsum(
-    s: Sequence, state_cap: int | None = None
-) -> SubsumWitness | None:
+def find_proper_zero_subsum(s: Sequence) -> SubsumWitness | None:
     """One nonempty proper zero-sum sub-multiset of ``s``, or None.
 
     Deterministic: supports are processed in canonical order, counts
@@ -93,7 +92,7 @@ def find_proper_zero_subsum(
     """
     if not s.entries:
         raise ValidationError("empty sequence")
-    cap = state_cap if state_cap is not None else DEFAULT_STATE_CAP
+    cap = resolve_guard(DEFAULT_STATE_CAP)
     zero, step = _sum_ops(s)
     entries = s.entries
     bounds = [m for _, m in entries]
@@ -137,11 +136,11 @@ def find_proper_zero_subsum(
     return None
 
 
-def is_minimal(s: Sequence, state_cap: int | None = None) -> bool:
+def is_minimal(s: Sequence) -> bool:
     """True iff ``s`` is a minimal zero-sum sequence (an atom)."""
     if not s.entries:
         raise ValidationError("empty sequence")
-    return s.total.is_zero and find_proper_zero_subsum(s, state_cap=state_cap) is None
+    return s.total.is_zero and find_proper_zero_subsum(s) is None
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +171,7 @@ def is_minimal_scan(s: Sequence) -> bool:
     return s.total.is_zero and proper_zero_subsum_scan(s) is None
 
 
-def atoms_brute(
-    elements: list[AnyElement], max_len: int, guard: int | None = None
-) -> list[Sequence]:
+def atoms_brute(elements: list[AnyElement], max_len: int) -> list[Sequence]:
     """Every atom over the given alphabet with length <= max_len.
 
     Enumerates all multisets in nondecreasing element order and filters
@@ -190,7 +187,7 @@ def atoms_brute(
         if a == b:
             raise ValidationError(f"duplicate element {a} in alphabet")
     k = len(alphabet)
-    cap = resolve_guard(DEFAULT_SCAN_CAP, guard)
+    cap = resolve_guard(DEFAULT_SCAN_CAP)
     candidates = sum(comb(k + n - 1, n) for n in range(1, max_len + 1))
     if candidates > cap:
         raise GuardExceededError(

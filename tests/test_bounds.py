@@ -167,6 +167,13 @@ class TestGroundBounds:
             # 2-D explicit sets: the rectangle bound of the enclosing box
             ("{(1,1),(-1,1),(0,-1)}", 0, 15),
             ("{(2,1),(-1,0),(0,-1),(-1,1)}", 0, 25),
+            # a single-signed axis: every atom lies where that axis is 0
+            ("[1,2]x[-1,1]", 0, 0),
+            ("{(1,0),(0,1)}", 0, 0),
+            ("[0,2]x[-1,1]", 2, 2),
+            ("[0,1]x[-2,2]", 3, 3),
+            ("{(0,1),(1,-1),(0,2)}", 0, 0),  # the slice {1,2} is single-signed too
+            ("C3x[1,2]x[-1,1]", 0, 0),
         ],
     )
     def test_shapes(self, text, lower, upper):

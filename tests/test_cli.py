@@ -235,8 +235,10 @@ class TestErrorsAndSpec:
             ["verify", "--inverse", "--m", "2..a"],
             ["reorder", "--seq", "3*(-3)", "--seed-element", "x"],
             ["hunt-chi-gap", "--abs", "0"],
+            ["davenport", "[-1,1]", "--threads", "-1"],
         ],
-        ids=["group-factor", "missing-parameter", "range", "seed-element", "zero-abs"],
+        ids=["group-factor", "missing-parameter", "range", "seed-element", "zero-abs",
+             "negative-threads"],
     )
     def test_bad_parameter_is_usage_error(self, argv):
         proc = subprocess.run(

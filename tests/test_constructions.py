@@ -109,9 +109,10 @@ class TestPowerSubsequenceCheck:
         assert report.ok
         assert report.zero_sum_subsequences == u
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setenv("DAVKIT_GUARD", "10")
         with pytest.raises(GuardExceededError):
-            power_subsequence_check(4, 3, 4, guard=10)
+            power_subsequence_check(4, 3, 4)
 
 
 class TestGroupBoxAtom:

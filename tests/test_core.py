@@ -175,9 +175,10 @@ class TestEnumerate:
         assert len(got) == 6
         assert all(isinstance(e, MixedElement) for e in got)
 
-    def test_cardinality_guard_reports_size(self):
+    def test_cardinality_guard_reports_size(self, monkeypatch):
+        monkeypatch.setenv("DAVKIT_GUARD", "3")
         with pytest.raises(CardinalityGuardError) as err:
-            enumerate_elements(Interval(-10, 10), cap=3)
+            enumerate_elements(Interval(-10, 10))
         assert err.value.cardinality == 21
 
     @pytest.mark.parametrize(
@@ -309,6 +310,25 @@ def _ground_sets(draw):
     factors = draw(st.sampled_from([(2,), (3,), (2, 4), (2, 2)]))
     lo, hi = draw(_interval_st)
     return GroupProduct(GroupSpec(factors), Interval(lo, hi))
+
+
+@st.composite
+def _sequences(draw):
+    """A lattice sequence with group None, or one over G x Z^d with its G."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-9, 9)] * dim).map(Element)
+    group = draw(st.sampled_from([None, GroupSpec((2,)), GroupSpec((3,)), GroupSpec((2, 4))]))
+    if group is not None:
+        residues = st.tuples(*(st.integers(0, n - 1) for n in group.factors))
+        point = st.builds(lambda r, v: MixedElement(group, r, v), residues, point)
+    pairs = draw(st.lists(st.tuples(point, st.integers(1, 4)), min_size=1, max_size=5))
+    return Sequence.from_pairs(pairs), group
+
+
+@given(_sequences())
+def test_sequence_str_parse_identity(drawn):
+    s, group = drawn
+    assert parse_sequence(str(s), group) == s
 
 
 @given(_ground_sets())

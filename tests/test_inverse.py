@@ -127,14 +127,10 @@ class TestVerifyInverse:
         assert len(by_name["[-4,4] length 6"].found) == 2
 
     def test_coprime_pair(self):
-        report = verify_inverse([3], pairs=[(3, 4)])
+        report = verify_inverse([3, 4])
         pair_check = [c for c in report.checks if c.name == "[-3,4] length 7"]
         assert pair_check and pair_check[0].ok
         assert pair_check[0].found == ("(-3)^4*4^3",)
 
     def test_full_range_passes(self):
         assert verify_inverse([2, 3, 4, 5]).ok
-
-    def test_non_coprime_pair_rejected(self):
-        with pytest.raises(ValidationError):
-            verify_inverse([2], pairs=[(2, 4)])

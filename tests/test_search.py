@@ -49,6 +49,13 @@ class TestLengthBound:
             ("C3x[-2,2]", 12),
             ("[-1,1]x[0,0]", 2),
             ("{(0,0)}", 1),
+            # a single-signed axis: the bound of the slice where it is 0
+            ("[1,2]x[-1,1]", 0),
+            ("{(1,0),(0,1)}", 0),
+            ("[0,2]x[-1,1]", 2),
+            ("[0,1]x[-2,2]", 4),
+            ("{(0,1),(1,-1),(0,2)}", 0),
+            ("C3x[1,2]x[-1,1]", 0),
         ],
     )
     def test_values(self, text, expected):
@@ -105,8 +112,15 @@ class TestDavenport:
     def test_capped_upper_is_the_closed_form(self, text, cap):
         ground = parse_ground_set(text)
         r = davenport(ground, cap=cap)
+        report = ground_bounds(ground)
         assert not r.exact
-        assert r.upper == ground_bounds(ground).upper
+        assert r.upper == report.upper
+        assert r.provenance == ("exhaustive-search-capped", *report.provenance)
+        # the bracket claims no lower bound beyond its certified witness
+        if r.lower >= 1:
+            assert r.lower == r.witness.length and is_minimal(r.witness)
+        else:
+            assert r.witness is None
 
     def test_capped_bracket_can_close_without_exact(self):
         # D(C2 x [-1,1]^2) = 8 is a closed form; the search did not run to
@@ -117,6 +131,7 @@ class TestDavenport:
     def test_cap_at_bound_still_exact(self):
         r = davenport(Interval(-2, 3), cap=100)
         assert r.exact and r.lower == 5
+        assert r.provenance == ("exhaustive-search",)
 
     def test_open_square_reports_construction_bracket(self):
         # the exact value of this square is unknown; a capped run must

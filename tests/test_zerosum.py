@@ -73,10 +73,11 @@ class TestFindProperZeroSubsum:
         s = S({4: 2, -2: 4})
         assert find_proper_zero_subsum(s) == find_proper_zero_subsum(s)
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
+        monkeypatch.setenv("DAVKIT_GUARD", "10")
         s = S({i: 3 for i in range(1, 12)} | {-40: 1})
         with pytest.raises(StateSpaceCapError):
-            find_proper_zero_subsum(s, state_cap=10)
+            find_proper_zero_subsum(s)
 
 
 class TestIsMinimal:
@@ -110,9 +111,10 @@ class TestAtomsBrute:
     def test_single_sign_empty(self):
         assert atoms_brute([1], 10) == []
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setenv("DAVKIT_GUARD", "100")
         with pytest.raises(GuardExceededError):
-            atoms_brute(list(range(-20, 21)), 20, guard=100)
+            atoms_brute(list(range(-20, 21)), 20)
 
 
 class TestStructureLaws:
