@@ -374,6 +374,8 @@ def run(spec: JobSpec) -> tuple[int, dict]:
         raise ValidationError(f"unknown output format {spec.output!r}")
     if spec.output == "csv" and spec.command != "atoms":
         raise ValidationError("csv output is only available for atom lists")
+    if spec.threads < 0:
+        raise ValidationError(f"threads must be >= 0, got {spec.threads}")
     code, result, provenance, exact, stats = _HANDLERS[spec.command](spec)
     report = {
         "schema": SCHEMA,

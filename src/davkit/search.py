@@ -224,10 +224,13 @@ class _Space:
         """The guarded packing of a total: lattice sums, then residue sums."""
         return sum(t << s for t, s in zip(total, self.shifts))
 
-    def sequence_from_counts(self, counts) -> Sequence:
-        return Sequence.from_pairs(
-            (self.elems[i], c) for i, c in enumerate(counts) if c
-        )
+    def certified_atom(self, counts) -> Sequence:
+        """The atom with these multiplicities over ``elems``, re-certified by
+        ``is_minimal`` (ConsistencyError if the certificate fails)."""
+        atom = Sequence.from_pairs((self.elems[i], c) for i, c in enumerate(counts) if c)
+        if not is_minimal(atom):
+            raise ConsistencyError(f"search atom failed its minimality certificate: {atom}")
+        return atom
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +360,15 @@ def _run_search(
 ):
     """Build the search space and run the search, in ``threads`` worker
     processes, or in this process at threads 1.  Threads 0 means auto:
-    workers only when the space looks big enough to pay for them.
+    workers only when the elements times the depth searched are many
+    enough to pay for them.
     Returns (space, best_len, best_counts, collected, stats)."""
     if threads < 0:
         raise ValidationError(f"threads must be >= 0, got {threads}")
     space = _Space(ground, depth_cap)
     k = len(space.elems)
     if threads == 0:
-        threads = min(4, os.cpu_count() or 1) if k * length_bound(ground) >= 20_000 else 1
+        threads = min(4, os.cpu_count() or 1) if k * depth_cap >= 20_000 else 1
     if threads == 1 or k <= 1:
         return space, *_search_sequential(space, depth_cap, mode, progress=progress)
     best_len = 0
@@ -425,9 +429,7 @@ def davenport(
         space, best_len, best_counts, _, stats = _run_search(
             ground, depth, "dav", threads=threads, progress=progress
         )
-        witness = space.sequence_from_counts(best_counts) if best_counts else None
-        if witness is not None and not is_minimal(witness):
-            raise ConsistencyError(f"search witness failed its minimality certificate: {witness}")
+        witness = space.certified_atom(best_counts) if best_counts else None
     stats.elapsed = perf_counter() - t0
     if depth == bound:
         return DavenportResult(best_len, best_len, True, witness, stats, ("exhaustive-search",))
@@ -439,7 +441,8 @@ def davenport(
 def atoms_of_length(
     ground: GroundSet, length: int, threads: int = 1
 ) -> list[Sequence]:
-    """All atoms over ``ground`` of length exactly ``length``, sorted."""
+    """All atoms over ``ground`` of length exactly ``length``, sorted, each
+    re-certified by ``is_minimal`` (ConsistencyError if not)."""
     if length < 1:
         raise ValidationError("length must be >= 1")
     bound = length_bound(ground)
@@ -447,12 +450,13 @@ def atoms_of_length(
         return []
     space, _, _, collected, _ = _run_search(ground, length, "all", threads=threads)
     # the search emits the atoms of one length in canonical-key order
-    return [space.sequence_from_counts(c) for c in collected if sum(c) == length]
+    return [space.certified_atom(c) for c in collected if sum(c) == length]
 
 
 def all_atoms(ground: GroundSet, max_len: int | None = None) -> list[Sequence]:
     """Every atom over ``ground`` (of length <= max_len if given), sorted
-    by (length, canonical form)."""
+    by (length, canonical form), each re-certified by ``is_minimal``
+    (ConsistencyError if not)."""
     bound = length_bound(ground)
     depth = bound if max_len is None else min(max_len, bound)
     if depth == 0:
@@ -460,7 +464,7 @@ def all_atoms(ground: GroundSet, max_len: int | None = None) -> list[Sequence]:
     space, _, _, collected, _ = _run_search(ground, depth, "all")
     # stable: within one length the search order is the canonical order
     collected.sort(key=sum)
-    return [space.sequence_from_counts(c) for c in collected]
+    return [space.certified_atom(c) for c in collected]
 
 
 def max_atoms(ground: GroundSet, threads: int = 1) -> list[Sequence]:

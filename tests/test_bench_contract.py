@@ -36,3 +36,22 @@ def test_run_search_keeps_its_signature_and_five_tuple():
     assert len(result) == 5
     assert isinstance(result[3], list)
     assert isinstance(result[4], SearchStats)
+
+
+def test_certificate_imports_nothing_from_the_search():
+    # is_minimal certifies what the search kernel finds; sharing the
+    # kernel's packing would let one bug fool both
+    import ast
+
+    import davkit.zerosum
+
+    tree = ast.parse(inspect.getsource(davkit.zerosum))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {m for m in imported if m.endswith("search") or ".search." in m}, imported

@@ -236,9 +236,11 @@ class TestErrorsAndSpec:
             ["reorder", "--seq", "3*(-3)", "--seed-element", "x"],
             ["hunt-chi-gap", "--abs", "0"],
             ["davenport", "[-1,1]", "--threads", "-1"],
+            ["atoms", "[-1,1]", "--length", "5", "--threads", "-1"],
+            ["bounds", "[-2,3]", "--threads", "-1"],
         ],
         ids=["group-factor", "missing-parameter", "range", "seed-element", "zero-abs",
-             "negative-threads"],
+             "negative-threads", "negative-threads-no-search", "negative-threads-bounds"],
     )
     def test_bad_parameter_is_usage_error(self, argv):
         proc = subprocess.run(

@@ -201,6 +201,31 @@ class TestAtomsOfLength:
     def test_length_above_bound_is_empty(self):
         assert atoms_of_length(Interval(-2, 2), 9) == []
 
+    def test_auto_threads_measure_the_searched_depth(self, monkeypatch):
+        # 441 elements times depth 2 is far below the pool threshold, though
+        # 441 times length_bound (961) is not: no pool may start
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        atoms = atoms_of_length(parse_ground_set("[-10,10]^2"), 2, threads=0)
+        assert len(atoms) == 220
+
+    @pytest.mark.parametrize(
+        "listing",
+        [lambda: atoms_of_length(Interval(-2, 2), 3), lambda: all_atoms(Interval(-2, 2), 3)],
+        ids=["atoms_of_length", "all_atoms"],
+    )
+    def test_listed_atoms_are_certified(self, monkeypatch, listing):
+        from davkit import ConsistencyError
+        from davkit import search as _search
+
+        monkeypatch.setattr(_search, "is_minimal", lambda s: False)
+        with pytest.raises(ConsistencyError, match="minimality certificate"):
+            listing()
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("text,length", [("[-3,3]", 4), ("[-2,2]^2", 5), ("C2xC4x[-1,1]", 4)])
     def test_output_sorted_and_minimal(self, text, length, threads):

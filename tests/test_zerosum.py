@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -15,7 +16,9 @@ from davkit import (
     find_proper_zero_subsum,
     is_minimal,
     is_zero_sum,
+    parse_sequence,
 )
+from davkit.cli import EXIT_GUARD, main
 from davkit.zerosum import is_minimal_scan, proper_zero_subsum_scan
 
 from conftest import S
@@ -165,12 +168,73 @@ class TestStructureLaws:
                             assert S({x: a, y: b}) == atom.power(j)
 
 
+GROUPS = [None, GroupSpec((3,)), GroupSpec((2, 4))]
+
+
+def random_sequence(rng: random.Random, dim: int, group: GroupSpec | None, n: int) -> Sequence:
+    """n random elements of [-r,r]^dim (times ``group``), r = 4 for dim 1
+    and 2 above; half the time one more element makes the total zero, so
+    atoms and their near misses occur."""
+    r = 4 if dim == 1 else 2
+    elements = []
+    for _ in range(n):
+        point = Element(tuple(rng.randint(-r, r) for _ in range(dim)))
+        if group is not None:
+            point = MixedElement(group, tuple(rng.randrange(f) for f in group.factors), point)
+        elements.append(point)
+    s = Sequence.from_elements(elements)
+    if rng.random() < 0.5:
+        s = Sequence.from_elements(elements + [s.total.neg()])
+    return s
+
+
+def reference_witness(s: Sequence) -> Sequence | None:
+    """The witness order, by brute force: of all proper nonempty zero-sum
+    count vectors (the last support capped at its multiplicity minus one
+    when the total is zero), the smallest last nonzero index, then the
+    lexicographically smallest vector."""
+    supports = [e for e, _ in s.entries]
+    bounds = [m for _, m in s.entries]
+    if s.total.is_zero:
+        bounds[-1] -= 1
+    best = None
+    for counts in itertools.product(*(range(b + 1) for b in bounds)):
+        if not any(counts):
+            continue
+        sub = Sequence.from_pairs(zip(supports, counts))
+        if not sub.total.is_zero:
+            continue
+        last = max(j for j, c in enumerate(counts) if c)
+        if best is None or (last, counts) < best[0]:
+            best = ((last, counts), sub)
+    return None if best is None else best[1]
+
+
+def test_witness_is_the_reference_order():
+    # pins the witness that check-minimal prints
+    rng = random.Random(2024)
+    found = 0
+    for case in range(1000):
+        dim = 1 + case % 3
+        s = random_sequence(rng, dim, GROUPS[case // 3 % 3], rng.randint(2, 8 if dim == 1 else 6))
+        want = reference_witness(s)
+        got = find_proper_zero_subsum(s)
+        assert (got and got.sub) == want, str(s)
+        found += want is not None
+    assert 200 < found < 800  # both verdicts are exercised
+
+
 def test_dp_agrees_with_scan_randomised():
     rng = random.Random(99)
     domain = list(range(-4, 5))
-    for _ in range(1000):
-        n = rng.randint(1, 12)
-        s = Sequence.from_elements(rng.choice(domain) for _ in range(n))
+    sequences = [
+        Sequence.from_elements(rng.choice(domain) for _ in range(rng.randint(1, 12)))
+        for _ in range(1000)
+    ]
+    for case in range(600):
+        dim = 1 + case % 3
+        sequences.append(random_sequence(rng, dim, GROUPS[case // 3 % 3], rng.randint(1, 8)))
+    for s in sequences:
         dp = find_proper_zero_subsum(s)
         scan = proper_zero_subsum_scan(s)
         assert (dp is None) == (scan is None)
@@ -179,3 +243,19 @@ def test_dp_agrees_with_scan_randomised():
             assert contains_sub(s, dp.sub) and dp.sub != s and dp.sub.length > 0
         if is_zero_sum(s):
             assert is_minimal(s) == is_minimal_scan(s)
+
+
+class TestMaskGuard:
+    """The DP's masks span the box of sub-sums, not the distinct sums, so a
+    sparse sequence with a huge box meets the guard."""
+
+    SPARSE = "(100,100,100)^50*(-100,-100,-100)^50"
+
+    def test_sparse_box_raises(self):
+        with pytest.raises(StateSpaceCapError):
+            find_proper_zero_subsum(parse_sequence(self.SPARSE))
+
+    def test_sparse_box_exits_guard(self, capsys):
+        code = main(["check-minimal", "[-100,100]^3", "--seq", self.SPARSE])
+        assert code == EXIT_GUARD
+        assert capsys.readouterr().err.startswith("guard:")
