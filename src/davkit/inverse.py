@@ -142,6 +142,8 @@ def verify_inverse(ms, threads: int = 1) -> InverseReport:
     pairs are all coprime pairs drawn from ``ms``.
     """
     ms = sorted(set(int(m) for m in ms))
+    if not ms:
+        raise ValidationError("no m values to verify")
     if any(m < 1 for m in ms):
         raise ValidationError("m values must be >= 1")
     checks: list[InverseCheck] = []

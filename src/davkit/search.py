@@ -64,6 +64,38 @@ depth: the depth needs no test of its own.  With both tables precomputed
 per (T, j), every node takes the per-axis decisions, hence the node,
 prune and closure counts, of separate comparisons.
 
+In d >= 2 the guarded total carries, after the d axes, one more field per
+linear functional u = e_a + e_b and u = e_a - e_b for each pair of
+lattice axes a < b, holding u.t; only the total and the rows hold them,
+not the masks.  The cut is the per-axis one applied to u: any remaining
+multiset of at most T elements of index >= j moves u.t by an amount in
+[-T*max(0, -min u.e), T*max(0, max u.e)], so a total with u.t outside
+[-T*max(0, max u.e), T*max(0, -min u.e)] cannot return to zero.  Field u
+is sized from depth*max|u.e| like a lattice axis.  A zero lattice total
+has every such field 0, so ``closed`` still means a zero sum.
+
+On a one-dimensional lattice set X (an interval or a 1-D explicit set;
+never a group product) the search also applies Lambert's sign-count
+bound: an atom over X has at most m = max(0, -min X) positive and at
+most M = max(0, max X) negative terms.  Proof: order the atom so that
+each term opposes the sign of the running sum (``davkit.reorder``).  Its
+prefix sums s_0 = 0, s_1, ..., s_(n-1) are distinct, and from s_1 on
+they lie in [-m, M], from s_2 on in [1 - m, M].  Each positive term is
+added at a prefix value in [-m, 0].  The value -m can only be s_1, and
+then the term added at s_0 = 0 was negative, so at most m of these
+m + 1 values take a positive term.  The negative side is the mirror
+image.  (For G x X the bound is false: D(C3 x [-2,2]) = 9 > 2 + 2.)
+
+In canonical order the negatives are a prefix block elems[:kn] and the
+positives a suffix block elems[kp:], and a node never holds 0 (it is
+zero-sum free).  So a node whose last element is negative holds only
+negatives, as many as its depth, and skips its negative children once
+that reaches M; a node whose last element is positive skips all its
+children, which are positive, once it holds m positives.  Each skipped
+child counts as a prune.  The decision is taken once per node, on the
+child range, so a child costs nothing extra and other searches pay one
+test per node.
+
 Early stop
 ----------
 In 'dav' mode the search depth is the proven length bound (or a smaller
@@ -75,7 +107,7 @@ canonical-key order, so that first atom is also the deterministic witness
 When no atom reaches the depth the tree is exhausted, and its longest
 atom is again exact up to the depth.  Either way the results are exact
 values, not estimates; only the node, prune and closure counts depend on
-where the search stopped.  Modes 'len' and 'all' never stop early.
+where the search stopped.  Mode 'all' never stops early.
 """
 
 from __future__ import annotations
@@ -168,6 +200,8 @@ class _Space:
             moduli = ()
             coords = [e.coords for e in elems]
         d = len(coords[0]) - len(moduli)
+        self.d = d
+        self.pairs = list(itertools.combinations(range(d), 2))
         # |sum_c| <= reach[c] for every sub-multiset of <= depth_cap elements
         reach = [depth_cap * max(abs(v[c]) for v in coords) for c in range(d)]
         # Reachability masks: lattice digits sized so every such sum packs
@@ -187,42 +221,67 @@ class _Space:
             block = ((1 << (n - 1) * s) - 1) << (n * s)
             wrap.append((sum(block << q for q in range(0, size, w * s)), n * s))
         self.wraps = [tuple(a for a, h in zip(wrap, v[d:]) if h) for v in coords]
-        # guarded totals (see the module docstring): field c starts at
-        # shifts[c]; residue field i holds an unreduced residue sum, in
-        # [0, rmax[i]], and row T adds T * rmax[i] to it, T <= depth_cap
+        # guarded totals (see the module docstring): field f starts at
+        # shifts[f]; the nf lattice functionals come first, then residue
+        # field i, which holds an unreduced residue sum in [0, rmax[i]], and
+        # row T adds T * rmax[i] to it, T <= depth_cap
+        fields = [self.fields(v) for v in coords]
+        nf = len(fields[0]) - len(moduli)
+        freach = [depth_cap * max(abs(u[f]) for u in fields) for f in range(nf)]
         rmax = [depth_cap * (n - 1) for n in moduli]
-        widths = [(2 * m + 1).bit_length() for m in reach]
+        widths = [(2 * m + 1).bit_length() for m in freach]
         widths += [(depth_cap * m).bit_length() for m in rmax]
         shifts = [0]
         for w in widths[:-1]:
             shifts.append(shifts[-1] + w + 1)
         self.shifts = shifts
         self.guards = sum(1 << (s + w) for s, w in zip(shifts, widths))
-        self.packed = [self.pack(v) for v in coords]
+        self.packed = [self._put(u) for u in fields]
         # the zero-sum totals: lattice sums 0, residue sums multiples of n_i
         self.closed = frozenset(
             self.pack([0] * d + list(res))
             for res in itertools.product(*(range(0, m + 1, n) for n, m in zip(moduli, rmax)))
         )
-        # up[j] / down[j] pack how far elements >= j move each axis up / down;
-        # rows are built on first use, so memory follows the depth reached.
-        # A residue axis moves down by rmax[i]: row T >= 1 passes any residue
-        # sum, and row 0 only residue 0, so it cuts every non-closure.
+        # up[j] / down[j] pack how far elements >= j move each functional up
+        # / down; rows are built on first use, so memory follows the depth
+        # reached.  A residue axis moves down by rmax[i]: row T >= 1 passes
+        # any residue sum, and row 0 only residue 0, so it cuts every
+        # non-closure.
         k = len(elems)
         up, down = [0] * k, [0] * k
-        hi, lo = [0] * d, [0] * d
+        hi, lo = [0] * nf, [0] * nf
         for j in range(k - 1, -1, -1):
-            for c in range(d):
-                hi[c] = max(hi[c], coords[j][c])
-                lo[c] = min(lo[c], coords[j][c])
-            up[j] = self.pack(hi + [0] * len(rmax))
-            down[j] = self.pack([-t for t in lo] + rmax)
+            for f in range(nf):
+                hi[f] = max(hi[f], fields[j][f])
+                lo[f] = min(lo[f], fields[j][f])
+            up[j] = self._put(hi + [0] * len(rmax))
+            down[j] = self._put([-t for t in lo] + rmax)
         self.CL = _Rows(self.guards, up)
         self.CR = _Rows(self.guards, down)
+        # the sign-count cut (one-dimensional lattice sets only): elems[:kn]
+        # are negative, elems[kp:] positive, and an atom has at most
+        # max(0, -min X) positive and max(0, max X) negative terms
+        self.signs = None
+        if d == 1 and not moduli:
+            values = [v[0] for v in coords]
+            kn = sum(v < 0 for v in values)
+            kp = k - sum(v > 0 for v in values)
+            self.signs = (kn, kp, max(0, -values[0]), max(0, values[-1]))
+
+    def fields(self, total) -> list[int]:
+        """The fields of the guarded total for a total (lattice sums, then
+        residue sums): each lattice sum t_c, then t_a + t_b and t_a - t_b
+        for each pair of lattice axes a < b, then each residue sum."""
+        t = total[: self.d]
+        pairs = [s for a, b in self.pairs for s in (t[a] + t[b], t[a] - t[b])]
+        return [*t, *pairs, *total[self.d :]]
+
+    def _put(self, values) -> int:
+        return sum(t << s for t, s in zip(values, self.shifts))
 
     def pack(self, total) -> int:
         """The guarded packing of a total: lattice sums, then residue sums."""
-        return sum(t << s for t, s in zip(total, self.shifts))
+        return self._put(self.fields(total))
 
     def certified_atom(self, counts) -> Sequence:
         """The atom with these multiplicities over ``elems``, re-certified by
@@ -274,6 +333,9 @@ def _search_sequential(
     CR = space.CR
     closed = space.closed
     cmax = max(closed)
+    signs = space.signs
+    if signs is not None:
+        kn, kp, most_pos, most_neg = signs
 
     counts = [0] * k
     collected: list[tuple[int, ...]] = []
@@ -295,6 +357,15 @@ def _search_sequential(
 
     def rec(start: int, depth: int, x: int, m: int, stop: int = k):
         nonlocal nodes, prunes, closures
+        if signs is not None:  # the sign-count cut; children are elems[start:stop]
+            if start < kn:  # P is all negative, or the root
+                if depth >= most_neg:
+                    cut = min(kn, stop)
+                    prunes += cut - start
+                    start = cut
+            elif start >= kp and sum(counts[kp:]) >= most_pos:
+                prunes += stop - start
+                return
         nd = depth + 1
         cl = CL[depth_cap - nd]
         cr = CR[depth_cap - nd]
@@ -376,16 +447,15 @@ def _run_search(
     collected = []
     stats = SearchStats()
     # imported here, not at the top: most runs never start a pool
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import Pool
 
-    with ProcessPoolExecutor(
-        max_workers=min(threads, k), initializer=_init_worker, initargs=(space, depth_cap, mode)
-    ) as pool:
+    # leaving the block terminates the workers, so a 'dav' root that
+    # reaches the depth does not wait for the roots still running
+    with Pool(min(threads, k), _init_worker, (space, depth_cap, mode)) as pool:
         # merge in root order, as the sequential run visits them.  A 'dav'
         # root that reaches the depth ends that run too, so the roots after
-        # it are not summed, and those not yet started are cancelled.
-        results = pool.map(_parallel_task, range(k))
-        for blen, bcounts, coll, st in results:
+        # it are not summed.
+        for blen, bcounts, coll, st in pool.imap(_parallel_task, range(k)):
             collected.extend(coll)
             stats.nodes += st.nodes
             stats.prunes += st.prunes
@@ -395,7 +465,6 @@ def _run_search(
             if blen > best_len:
                 best_len, best_counts = blen, bcounts
             if mode == "dav" and blen == depth_cap:
-                results.close()
                 break
     return space, best_len, best_counts, collected, stats
 
@@ -412,18 +481,20 @@ def davenport(
 ) -> DavenportResult:
     """The Davenport constant of a finite ground set, by exhaustive search.
 
-    The depth is the proven ``length_bound``; ``cap`` may lower (never
-    raise) it.  A capped search reports exact=False, the longest atom
-    found as the lower bound and the closed-form ``ground_bounds`` upper
-    bound, with that bound's provenance.  The search stops at the first
-    atom as long as the depth, or else exhausts the tree.  Results are
-    deterministic and, stats included, independent of ``threads`` (0 =
-    auto).  The witness is re-certified by ``is_minimal``
-    (ConsistencyError if not).
+    The depth is the proven ``length_bound``; ``cap``, an integer >= 1
+    (ValidationError if not), may lower (never raise) it.  A capped search
+    reports exact=False, the longest atom found as the lower bound and the
+    closed-form ``ground_bounds`` upper bound, with that bound's
+    provenance.  The search stops at the first atom as long as the depth,
+    or else exhausts the tree.  Results are deterministic and, stats
+    included, independent of ``threads`` (0 = auto).  The witness is
+    re-certified by ``is_minimal`` (ConsistencyError if not).
     """
+    if cap is not None and (type(cap) is not int or cap < 1):
+        raise ValidationError(f"cap must be an integer >= 1, got {cap!r}")
     t0 = perf_counter()
     bound = length_bound(ground)
-    depth = bound if cap is None else max(0, min(cap, bound))
+    depth = bound if cap is None else min(cap, bound)
     best_len, witness, stats = 0, None, SearchStats()
     if depth > 0:
         space, best_len, best_counts, _, stats = _run_search(

@@ -238,9 +238,13 @@ class TestErrorsAndSpec:
             ["davenport", "[-1,1]", "--threads", "-1"],
             ["atoms", "[-1,1]", "--length", "5", "--threads", "-1"],
             ["bounds", "[-2,3]", "--threads", "-1"],
+            ["davenport", "[-2,3]", "--cap", "0"],
+            ["davenport", "[-2,3]", "--cap", "-3"],
+            ["verify", "--inverse", "--m", "3..2"],
         ],
         ids=["group-factor", "missing-parameter", "range", "seed-element", "zero-abs",
-             "negative-threads", "negative-threads-no-search", "negative-threads-bounds"],
+             "negative-threads", "negative-threads-no-search", "negative-threads-bounds",
+             "zero-cap", "negative-cap", "empty-range"],
     )
     def test_bad_parameter_is_usage_error(self, argv):
         proc = subprocess.run(

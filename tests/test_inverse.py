@@ -134,3 +134,8 @@ class TestVerifyInverse:
 
     def test_full_range_passes(self):
         assert verify_inverse([2, 3, 4, 5]).ok
+
+    def test_empty_range_is_rejected(self):
+        # no checks at all would read as a vacuous "ok"
+        with pytest.raises(ValidationError, match="no m values"):
+            verify_inverse([])

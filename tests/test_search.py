@@ -1,4 +1,6 @@
 import itertools
+import multiprocessing
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from davkit import (
     GroupProduct,
     GroupSpec,
     Interval,
+    ValidationError,
     all_atoms,
     atoms_brute,
     atoms_of_length,
@@ -21,6 +24,7 @@ from davkit import (
     max_atoms,
     parse_ground_set,
 )
+from davkit import search as _search
 from davkit.core import _sort_key
 from davkit.search import _run_search, _Space
 
@@ -33,6 +37,17 @@ def explicit(*values) -> Explicit:
 
 def _canonical_key(s) -> tuple:
     return tuple(_sort_key(e) for e in s.flatten())
+
+
+_parallel_task = _search._parallel_task
+
+
+def _slow_after_root_zero(j0: int):
+    """A pool task whose roots after the first take seconds; a module-level
+    function, so that the pool can pickle it by name."""
+    if j0 >= 1:
+        time.sleep(30)
+    return _parallel_task(j0)
 
 
 class TestLengthBound:
@@ -107,7 +122,7 @@ class TestDavenport:
     @pytest.mark.parametrize(
         "text,cap",
         [("[-3,3]", 3), ("[-2,2]^2", 9), ("[-1,1]^3", 7), ("C5x[-2,2]", 6),
-         ("C2x[-1,1]^2", 8), ("{-3,1,2}", 3), ("[-3,4]", 0)],
+         ("C2x[-1,1]^2", 8), ("{-3,1,2}", 3), ("[-3,4]", 1)],
     )
     def test_capped_upper_is_the_closed_form(self, text, cap):
         ground = parse_ground_set(text)
@@ -147,6 +162,11 @@ class TestDavenport:
         assert (a.lower, a.upper, a.exact, a.witness) == (b.lower, b.upper, b.exact, b.witness)
         assert (a.stats.nodes, a.stats.prunes) == (b.stats.nodes, b.stats.prunes)
 
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, "4", True])
+    def test_cap_below_one_or_not_an_integer_is_rejected(self, cap):
+        with pytest.raises(ValidationError, match="cap"):
+            davenport(Interval(-2, 3), cap=cap)
+
 
 class TestEarlyStop:
     """A 'dav' search ends at its first atom as long as the depth."""
@@ -172,6 +192,18 @@ class TestEarlyStop:
         longest = max(a.length for a in atoms)
         assert r.lower == longest
         assert r.witness == next(a for a in atoms if a.length == longest)
+
+    def test_parallel_stop_does_not_wait_for_running_roots(self, monkeypatch):
+        # root 0 reaches the depth; the roots after it would run for seconds
+        monkeypatch.setattr(_search, "_parallel_task", _slow_after_root_zero)
+        ground = parse_ground_set("C6x[-1,1]")
+        t0 = time.perf_counter()
+        b = davenport(ground, threads=2)
+        assert time.perf_counter() - t0 < 10
+        assert multiprocessing.active_children() == []
+        a = davenport(ground, threads=1)
+        a.stats.elapsed = b.stats.elapsed = 0.0
+        assert a == b
 
     def test_node_count_pinned(self):
         # the full tree to the depth 12 has 37,254 nodes; the first root's
@@ -204,12 +236,10 @@ class TestAtomsOfLength:
     def test_auto_threads_measure_the_searched_depth(self, monkeypatch):
         # 441 elements times depth 2 is far below the pool threshold, though
         # 441 times length_bound (961) is not: no pool may start
-        import concurrent.futures
-
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         atoms = atoms_of_length(parse_ground_set("[-10,10]^2"), 2, threads=0)
         assert len(atoms) == 220
 
@@ -301,6 +331,26 @@ class TestOracleFamily:
             assert a.exact and b.exact and a.lower == b.lower
 
 
+class TestSignCount:
+    """Lambert's bound, which the one-dimensional search cuts on: an atom
+    over X has at most max(0, -min X) positive and at most max(0, max X)
+    negative terms."""
+
+    def test_every_brute_atom_obeys_it(self):
+        checked = 0
+        for size in range(2, 5):
+            for combo in itertools.combinations(range(-4, 5), size):
+                if not combo[0] < 0 < combo[-1]:
+                    continue
+                most_pos, most_neg = -combo[0], combo[-1]
+                for atom in atoms_brute(list(combo), length_bound(explicit(*combo))):
+                    signs = [e.coords[0] for e in atom.flatten()]
+                    assert sum(v > 0 for v in signs) <= most_pos, (combo, atom)
+                    assert sum(v < 0 for v in signs) <= most_neg, (combo, atom)
+                    checked += 1
+        assert checked == 642
+
+
 class TestGroupProducts:
     @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1)])
     def test_cyclic_times_interval(self, n, m):
@@ -358,19 +408,22 @@ def test_hunt_chi_gap_smoke():
 
 class TestTreePinned:
     """(nodes, prunes, closures) at threads=1: the pruning decisions of the
-    guarded running total are those of the per-axis inequalities.  A node is
-    a multiset the search extends; the empty root is not counted."""
+    guarded running total are those of the direct inequalities, and the
+    sign-count cut prunes one-dimensional sets.  A node is a multiset the
+    search extends; the empty root is not counted."""
 
     @pytest.mark.parametrize(
         "text,cap,counts",
         [
-            ("[-7,7]", None, (23205, 132666, 560)),
-            ("[-6,10]", None, (31698, 269201, 957)),
-            ("[-1,2]x[-1,1]", None, (37495, 160360, 39)),
-            ("[-1,1]^3", 7, (76, 540, 1)),
-            ("{(2,1),(-1,0),(0,-1),(-1,1)}", None, (1587, 1775, 3)),
+            ("[-7,7]", None, (14538, 71286, 560)),
+            ("[-6,10]", None, (23071, 178410, 957)),
+            ("[-1,2]x[-1,1]", None, (18477, 116555, 39)),
+            ("[-1,1]^3", 7, (48, 471, 1)),
+            ("{(2,1),(-1,0),(0,-1),(-1,1)}", None, (787, 881, 3)),
+            # neither cut applies to a group product over one lattice axis;
+            # the sign count would be false here (D = 9 > 2 + 2)
             ("C3x[-2,2]", None, (11817, 41949, 406)),
-            ("C2x[-1,1]^2", 8, (259, 941, 2)),
+            ("C2x[-1,1]^2", 8, (178, 895, 2)),
             ("C3xC3x{-1,1}", None, (9, 9, 1)),
             # the only root is a closure: no multiset is extended
             ("{0}", None, (0, 0, 1)),
@@ -383,7 +436,7 @@ class TestTreePinned:
     def test_atoms_of_length_counts(self):
         _, _, _, collected, st_ = _run_search(parse_ground_set("[-5,5]"), 9, "all")
         assert len([c for c in collected if sum(c) == 9]) == 2
-        assert (st_.nodes, st_.prunes, st_.closures) == (782, 3067, 100)
+        assert (st_.nodes, st_.prunes, st_.closures) == (708, 2632, 100)
 
     @pytest.mark.parametrize(
         "text,depth,counts",
@@ -395,9 +448,33 @@ class TestTreePinned:
         assert len(collected) == counts[2]
 
 
+def _functionals(d: int) -> list[tuple[int, ...]]:
+    """Each lattice axis, then for each pair of axes a < b the sum and the
+    difference of the two."""
+    axes = [tuple(int(c == a) for c in range(d)) for a in range(d)]
+    pairs = [
+        tuple(int(c == a) + sign * int(c == b) for c in range(d))
+        for a, b in itertools.combinations(range(d), 2)
+        for sign in (1, -1)
+    ]
+    return axes + pairs
+
+
+def _direct(coords, j: int, T: int, t, functionals) -> bool:
+    """-T * max(0, max u.e) <= u.t <= T * max(0, -min u.e) over the
+    elements e >= j, for every functional u."""
+    for u in functionals:
+        values = [sum(a * b for a, b in zip(u, v)) for v in coords[j:]]
+        ut = sum(a * b for a, b in zip(u, t))
+        if not -T * max(0, *values) <= ut <= T * max(0, *(-w for w in values)):
+            return False
+    return True
+
+
 class TestGuardedTotal:
-    """The guarded test against the direct per-axis inequality
-    -T * max(0, max e_c) <= t_c <= T * max(0, -min e_c) over elements >= j."""
+    """The guarded test against the direct inequalities
+    -T * max(0, max u.e) <= u.t <= T * max(0, -min u.e) over elements >= j,
+    for u each lattice axis and, in d >= 2, each pair sum and difference."""
 
     @pytest.mark.parametrize(
         "text,depth",
@@ -417,16 +494,19 @@ class TestGuardedTotal:
         d = len(coords[0])
         reach = [depth * max(abs(v[c]) for v in coords) for c in range(d)]
         H = space.guards
+        functionals = _functionals(d)
+        pair_cuts = 0
         for t in itertools.product(*(range(-r, r + 1) for r in reach)):
             x = space.pack(t)
             assert (x == 0) == (not any(t))
             for j in range(len(coords)):
-                up = [max(0, *(v[c] for v in coords[j:])) for c in range(d)]
-                down = [max(0, *(-v[c] for v in coords[j:])) for c in range(d)]
                 for T in range(depth + 1):
-                    direct = all(-T * up[c] <= t[c] <= T * down[c] for c in range(d))
+                    direct = _direct(coords, j, T, t, functionals)
                     guarded = (x + space.CL[T][j]) & (space.CR[T][j] - x) & H == H
                     assert guarded == direct, (t, j, T)
+                    pair_cuts += not direct and _direct(coords, j, T, t, functionals[:d])
+        # the pair fields cut totals that every axis passes
+        assert (pair_cuts > 0) == (d >= 2)
 
     def test_packing_adds(self):
         space = _Space(parse_ground_set("[-2,2]^2"), 4)
@@ -449,6 +529,7 @@ class TestMixedTables:
         reach = [depth * max(abs(v[c]) for v in coords) for c in range(d)]
         rmax = [depth * (n - 1) for n in moduli]
         H = space.guards
+        functionals = _functionals(d)
         lattice_totals = itertools.product(*(range(-m, m + 1) for m in reach))
         residue_sums = itertools.product(*(range(m + 1) for m in rmax))
         for t, r in itertools.product(lattice_totals, list(residue_sums)):
@@ -456,10 +537,8 @@ class TestMixedTables:
             zero_sum = not any(t) and all(ri % n == 0 for ri, n in zip(r, moduli))
             assert (x in space.closed) == zero_sum, (t, r)
             for j in range(len(coords)):
-                up = [max(0, *(v[c] for v in coords[j:])) for c in range(d)]
-                down = [max(0, *(-v[c] for v in coords[j:])) for c in range(d)]
                 for T in range(depth + 1):
-                    direct = all(-T * up[c] <= t[c] <= T * down[c] for c in range(d))
+                    direct = _direct(coords, j, T, t, functionals)
                     direct = direct and (T >= 1 or not any(r))
                     guarded = (x + space.CL[T][j]) & (space.CR[T][j] - x) & H == H
                     assert guarded == direct, (t, r, j, T)
@@ -505,7 +584,8 @@ class TestMixedTables:
 
 
 def _explicit_sets(dim: int, max_size: int = 4):
-    point = st.integers(-2, 2) if dim == 1 else st.tuples(*[st.integers(-2, 2)] * dim)
+    # in one dimension, wide enough that max(0, -min X) != max(0, max X) is common
+    point = st.integers(-5, 5) if dim == 1 else st.tuples(*[st.integers(-2, 2)] * dim)
     return st.sets(point, min_size=1, max_size=max_size).map(
         lambda pts: Explicit(tuple(sorted(Element.of(p) for p in pts)))
     )
@@ -545,7 +625,8 @@ class TestProperties:
     @given(_small_grounds)
     def test_longest_atom_equals_brute(self, ground):
         depth, want = _brute(ground)
-        r = davenport(ground, cap=depth)
+        # depth 0 means length_bound 0, which cap 1 does not raise
+        r = davenport(ground, cap=max(1, depth))
         assert r.lower == max((a.length for a in want), default=0)
         if r.witness is not None:
             assert r.witness in want
