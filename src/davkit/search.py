@@ -21,14 +21,35 @@ completed zero-sum candidate and is emitted iff the only zero-sum
 sub-multiset it contains is P itself; either way the branch ends, because
 a zero-sum proper prefix can never extend to a minimal sequence.
 
-Bookkeeping is one reachability bitmask: bit w of ``ones`` says some
-nonempty sub-multiset of P sums to w.  Sums are packed into bit positions
-by fixed per-axis strides sized from the depth cap, so adding an element
-advances the whole reachable set with one big-integer shift-or, and a
-child is cut when ``ones`` reaches the zero bit.  So every P the search
-extends is zero-sum free, and then every closure P + e is an atom: a
-proper zero-sum sub-multiset Z of P + e would contain e, and P + e - Z
-would be a nonempty zero-sum sub-multiset of P.
+Bookkeeping is one reachability bitmask per node.  Sums are packed into
+bit positions by fixed per-axis strides sized from the depth cap, a sum s
+at bit ``offset`` + delta(s), so adding an element advances the whole
+reachable set with one big-integer shift-or.  A child P + e is cut when
+it has a nonempty zero-sum sub-multiset other than itself, that is, when
+-e is a sub-sum of P or e = 0.  So every P the search extends is
+zero-sum free, and then every closure P + e is an atom: a proper
+zero-sum sub-multiset Z of P + e would contain e, and P + e - Z would be
+a nonempty zero-sum sub-multiset of P.
+
+On a lattice set (an interval, a box or an explicit set; no residue
+axis) the mask n holds the *negated* reachable set: bit offset + delta(s)
+is set iff -s is a nonempty sub-sum of P, and the child step is
+n | n >> delta_j | 1 << (offset - delta_j).  Lattice axis d - 1 is the
+stride-1 digit and axis 0 the widest, so delta increases along the
+lexicographic order, which is the canonical one.  The kill bit of child
+j is bit offset + delta_j of n (the zero element is always killed), so
+the kill set of the children elems[start:stop] is one bit window of n,
+read with one shift and one AND against a precomputed int holding bit
+delta_j - delta_0 for each nonzero element (``_Space.live``).  The loop
+visits only the clear bits, low to high, which is canonical order.  The
+one child that may close P, e_j = -t, is killed too (t is a sub-sum);
+it is looked up by the packed total and visited in its place.  Each
+killed child still counts as one prune, added as the gap between
+consecutive visited children and the tail after the last, so a search
+that stops early counts exactly the children it passed.  On G x X the
+residue digits are reduced after each shift, and the loop there keeps
+the plain reachable set and tests each child one by one, the zero bit
+after the shift-or.
 
 One kernel serves every ground set: in C_n1 x ... x C_nr x X each residue
 coordinate is one more axis after the d lattice axes, and a box is the
@@ -207,15 +228,26 @@ class _Space:
         # Reachability masks: lattice digits sized so every such sum packs
         # uniquely, non-negative via the offset; a residue digit holds a
         # reduced residue plus one more, and is reduced again after a shift.
+        # Lattice axis d - 1 is the stride-1 digit and axis 0 the widest, so
+        # deltas increase with the lexicographic (canonical) order; the
+        # residue digits sit above them.
         digits = [2 * m + 3 for m in reach] + [2 * n - 1 for n in moduli]
-        strides = [1]
-        for w in digits[:-1]:
-            strides.append(strides[-1] * w)
+        strides = [0] * len(digits)
+        size = 1
+        for c in [*range(d - 1, -1, -1), *range(d, len(digits))]:
+            strides[c] = size
+            size *= digits[c]
         self.offset = sum((reach[c] + 1) * strides[c] for c in range(d))
         self.deltas = [sum(t * s for t, s in zip(v, strides)) for v in coords]
+        self.moduli = moduli
+        # the lattice loop's window (see the module docstring): bit
+        # deltas[j] - deltas[0] of ``window`` for each nonzero element j,
+        # ``at`` the element of each delta, and ``closing`` the child that
+        # closes each packed total
+        self.window = sum(1 << (t - self.deltas[0]) for t in self.deltas if t)
+        self.at = {t: j for j, t in enumerate(self.deltas)}
         # wraps[j]: per residue axis that elems[j] moves, the bits whose
         # digit is n_i or more, and the shift that takes n_i off it
-        size = strides[-1] * digits[-1]
         wrap = []
         for n, w, s in zip(moduli, digits[d:], strides[d:]):
             block = ((1 << (n - 1) * s) - 1) << (n * s)
@@ -237,6 +269,7 @@ class _Space:
         self.shifts = shifts
         self.guards = sum(1 << (s + w) for s, w in zip(shifts, widths))
         self.packed = [self._put(u) for u in fields]
+        self.closing = {-p: j for j, p in enumerate(self.packed)}
         # the zero-sum totals: lattice sums 0, residue sums multiples of n_i
         self.closed = frozenset(
             self.pack([0] * d + list(res))
@@ -282,6 +315,24 @@ class _Space:
     def pack(self, total) -> int:
         """The guarded packing of a total: lattice sums, then residue sums."""
         return self._put(self.fields(total))
+
+    def grow(self, n: int, j: int) -> int:
+        """The negated reachable set of P + elems[j], from that of P: bit
+        offset + delta(s) is set iff -s is a nonempty sub-sum (lattice
+        sets; see the module docstring)."""
+        delta = self.deltas[j]
+        return n | (n >> delta if delta >= 0 else n << -delta) | 1 << (self.offset - delta)
+
+    def live(self, n: int, start: int, stop: int) -> int:
+        """The children elems[start:stop] of a lattice node with negated
+        reachable set ``n`` whose kill bit is clear: bit deltas[j] -
+        deltas[start] for each such j.  A child is killed iff -e_j is a
+        sub-sum of P or e_j = 0; a closing child is killed too."""
+        d0 = self.deltas[start]
+        bits = self.window >> (d0 - self.deltas[0])
+        if stop < len(self.deltas):
+            bits &= (1 << (self.deltas[stop] - d0)) - 1
+        return bits ^ (bits & n >> (self.offset + d0))
 
     def certified_atom(self, counts) -> Sequence:
         """The atom with these multiplicities over ``elems``, re-certified by
@@ -333,6 +384,10 @@ def _search_sequential(
     CR = space.CR
     closed = space.closed
     cmax = max(closed)
+    closing = space.closing
+    at = space.at
+    live = space.live
+    grow = space.grow
     signs = space.signs
     if signs is not None:
         kn, kp, most_pos, most_neg = signs
@@ -355,7 +410,9 @@ def _search_sequential(
             if mode == "dav" and length == depth_cap:
                 raise _DepthReached
 
-    def rec(start: int, depth: int, x: int, m: int, stop: int = k):
+    def rec(start: int, depth: int, x: int, n: int, stop: int = k):
+        """The lattice loop: ``n`` is the negated reachable set of P, and
+        only the children whose kill bit is clear are visited."""
         nonlocal nodes, prunes, closures
         if signs is not None:  # the sign-count cut; children are elems[start:stop]
             if start < kn:  # P is all negative, or the root
@@ -366,6 +423,45 @@ def _search_sequential(
             elif start >= kp and sum(counts[kp:]) >= most_pos:
                 prunes += stop - start
                 return
+        if start >= stop:
+            return
+        nd = depth + 1
+        cl = CL[depth_cap - nd]
+        cr = CR[depth_cap - nd]
+        d0 = deltas[start]
+        bits = live(n, start, stop)
+        jc = closing.get(x)  # the one child that closes P: e_j = -t
+        if jc is not None and start <= jc < stop:
+            bits |= 1 << (deltas[jc] - d0)
+        last = start - 1
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            j = at[d0 + low.bit_length() - 1]
+            prunes += j - last - 1  # the killed children since the last one visited
+            last = j
+            nx = x + packed[j]
+            if j == jc:
+                closures += 1  # P is zero-sum free, so P + e is an atom
+                counts[j] += 1
+                emit(nd)
+                counts[j] -= 1
+                continue
+            if (nx + cl[j]) & (cr[j] - nx) & H != H:  # T = 0 cuts at the depth
+                prunes += 1
+                continue
+            nodes += 1
+            if progress is not None and nodes % _PROGRESS_STRIDE == 0:
+                progress(nodes, best_len)
+            counts[j] += 1
+            rec(j, nd, nx, grow(n, j))
+            counts[j] -= 1
+        prunes += stop - 1 - last
+
+    def rec_residue(start: int, depth: int, x: int, m: int, stop: int = k):
+        """The residue loop (G x X): ``m`` is the reachable set of P, and
+        each child is tested one by one."""
+        nonlocal nodes, prunes, closures
         nd = depth + 1
         cl = CL[depth_cap - nd]
         cr = CR[depth_cap - nd]
@@ -394,12 +490,12 @@ def _search_sequential(
             if progress is not None and nodes % _PROGRESS_STRIDE == 0:
                 progress(nodes, best_len)
             counts[j] += 1
-            rec(j, nd, nx, nm)
+            rec_residue(j, nd, nx, nm)
             counts[j] -= 1
 
     try:
         # the root is the empty multiset: total 0, no reachable sum
-        rec(lo, 0, 0, 0, k if hi is None else hi)
+        (rec_residue if space.moduli else rec)(lo, 0, 0, 0, k if hi is None else hi)
     except _DepthReached:
         pass
     return best_len, best_counts, collected, SearchStats(nodes, prunes, closures)

@@ -1,5 +1,6 @@
 import itertools
 import multiprocessing
+import random
 import time
 
 import pytest
@@ -427,6 +428,15 @@ class TestTreePinned:
             ("C3xC3x{-1,1}", None, (9, 9, 1)),
             # the only root is a closure: no multiset is extended
             ("{0}", None, (0, 0, 1)),
+            # stopped early: a killed child counts as a prune only once the
+            # loop has passed it
+            ("[-6,7]", None, (12, 13, 1)),
+            ("[-2,2]^2", 8, (18, 124, 1)),
+            ("[-3,4]", None, (6, 7, 1)),
+            ("{-7,-3,2,5,6}", None, (12, 4, 1)),
+            ("[-1,1]x[0,0]", None, (1, 2, 1)),
+            # the zero element, over an exhausted tree
+            ("[-8,8]", None, (57623, 328163, 1165)),
         ],
     )
     def test_davenport_counts(self, text, cap, counts):
@@ -434,9 +444,13 @@ class TestTreePinned:
         assert (st_.nodes, st_.prunes, st_.closures) == counts
 
     def test_atoms_of_length_counts(self):
-        _, _, _, collected, st_ = _run_search(parse_ground_set("[-5,5]"), 9, "all")
-        assert len([c for c in collected if sum(c) == 9]) == 2
-        assert (st_.nodes, st_.prunes, st_.closures) == (708, 2632, 100)
+        for text, length, atoms, counts in [
+            ("[-5,5]", 9, 2, (708, 2632, 100)),
+            ("[-2,2]^2", 8, 644, (29042, 219189, 3577)),
+        ]:
+            _, _, _, collected, st_ = _run_search(parse_ground_set(text), length, "all")
+            assert len([c for c in collected if sum(c) == length]) == atoms
+            assert (st_.nodes, st_.prunes, st_.closures) == counts
 
     @pytest.mark.parametrize(
         "text,depth,counts",
@@ -583,6 +597,83 @@ class TestMixedTables:
             assert bit_of[key(e.group_part, e.lattice_part.coords)] == space.offset + space.deltas[j]
 
 
+def _sub_sums(coords, multiset) -> set[tuple[int, ...]]:
+    """The sums of the nonempty sub-multisets of ``multiset`` (indices
+    into ``coords``), by brute force."""
+    items = sorted(set(multiset))
+    sums = set()
+    for mult in itertools.product(*(range(multiset.count(j) + 1) for j in items)):
+        if any(mult):
+            picked = [coords[j] for j, c in zip(items, mult) for _ in range(c)]
+            sums.add(tuple(map(sum, zip(*picked))))
+    return sums
+
+
+class TestWindow:
+    """The lattice loop's negated reachable set and its kill window."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[-3,4]", "{-7,-3,2,5,6}", "[-1,1]x[0,0]", "[-2,2]^2", "[-1,2]x[-1,1]", "[-1,1]^3",
+         "{(2,1),(-1,0),(0,-1),(-1,1)}", "{(-1,0,0),(0,1,0),(1,-1,0),(1,1,0)}"],
+    )
+    def test_deltas_increase_in_canonical_order(self, text):
+        for depth in (1, 5):
+            space = _Space(parse_ground_set(text), depth)
+            assert all(a < b for a, b in itertools.pairwise(space.deltas))
+
+    @pytest.mark.parametrize(
+        "text,depth",
+        [
+            ("[-3,4]", 6),
+            ("{-7,-3,2,5,6}", 6),
+            ("[-2,2]^2", 5),
+            ("{(2,1),(-1,0),(0,-1),(-1,1)}", 5),
+            ("[-1,1]x[0,0]", 3),
+            ("[-1,1]^3", 4),
+        ],
+    )
+    def test_survivors_against_brute_force(self, text, depth):
+        """On random zero-sum free multisets P: the negated mask holds -s
+        for each nonempty sub-sum s, and the window keeps exactly the
+        children e_j != 0 with -e_j no sub-sum, over any [start, stop)."""
+        space = _Space(parse_ground_set(text), depth)
+        coords = [e.coords for e in space.elems]
+        k, zero = len(coords), (0,) * len(coords[0])
+        rng = random.Random(text)
+        tried = killed = 0
+        while tried < 60:
+            P = sorted(rng.choices(range(k), k=rng.randint(0, depth - 1)))
+            sums = _sub_sums(coords, P)
+            if zero in sums:
+                continue
+            tried += 1
+            n = 0
+            for j in P:
+                n = space.grow(n, j)
+            want = 0
+            for size in range(1, len(P) + 1):
+                for sub in itertools.combinations(P, size):
+                    want |= 1 << (space.offset - sum(space.deltas[j] for j in sub))
+            assert n == want, P
+            start = rng.randint(0, k - 1)
+            stop = rng.choice([k, rng.randint(start + 1, k)])
+            bits = space.live(n, start, stop)
+            got = {
+                space.at[space.deltas[start] + b]
+                for b in range(bits.bit_length())
+                if bits >> b & 1
+            }
+            brute = {
+                j
+                for j in range(start, stop)
+                if coords[j] != zero and tuple(-c for c in coords[j]) not in sums
+            }
+            assert got == brute, (P, start, stop)
+            killed += len(brute) < stop - start - (zero in coords[start:stop])
+        assert killed > 0  # the draws do reach sub-sums that kill a child
+
+
 def _explicit_sets(dim: int, max_size: int = 4):
     # in one dimension, wide enough that max(0, -min X) != max(0, max X) is common
     point = st.integers(-5, 5) if dim == 1 else st.tuples(*[st.integers(-2, 2)] * dim)
@@ -598,6 +689,7 @@ def _products(moduli, base):
 _small_grounds = st.one_of(
     _explicit_sets(1),
     _explicit_sets(2),
+    _explicit_sets(3, 3),
     _products([(2,), (3,)], _explicit_sets(1, 3)),
     # several residue axes, and residue axes next to two lattice axes
     _products([(2, 2), (2, 4)], _explicit_sets(1, 2)),
