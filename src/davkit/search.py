@@ -21,10 +21,11 @@ completed zero-sum candidate and is emitted iff the only zero-sum
 sub-multiset it contains is P itself; either way the branch ends, because
 a zero-sum proper prefix can never extend to a minimal sequence.
 
-Bookkeeping is one reachability bitmask per node.  Sums are packed into
-bit positions by fixed per-axis strides sized from the depth cap, a sum s
-at bit ``offset`` + delta(s), so adding an element advances the whole
-reachable set with one big-integer shift-or.  A child P + e is cut when
+Bookkeeping is one reachability bitmask per node.  Sums are packed by
+fixed per-axis strides sized from the depth cap: delta(s), the sum of
+s_c times the stride of axis c, is one-to-one on the sums of at most
+depth-cap elements, so adding an element advances the whole reachable
+set with one big-integer shift-or.  A child P + e is cut when
 it has a nonempty zero-sum sub-multiset other than itself, that is, when
 -e is a sub-sum of P or e = 0.  So every P the search extends is
 zero-sum free, and then every closure P + e is an atom: a proper
@@ -32,24 +33,31 @@ zero-sum sub-multiset Z of P + e would contain e, and P + e - Z would be
 a nonempty zero-sum sub-multiset of P.
 
 On a lattice set (an interval, a box or an explicit set; no residue
-axis) the mask n holds the *negated* reachable set: bit offset + delta(s)
-is set iff -s is a nonempty sub-sum of P, and the child step is
-n | n >> delta_j | 1 << (offset - delta_j).  Lattice axis d - 1 is the
-stride-1 digit and axis 0 the widest, so delta increases along the
-lexicographic order, which is the canonical one.  The kill bit of child
-j is bit offset + delta_j of n (the zero element is always killed), so
-the kill set of the children elems[start:stop] is one bit window of n,
-read with one shift and one AND against a precomputed int holding bit
-delta_j - delta_0 for each nonzero element (``_Space.live``).  The loop
-visits only the clear bits, low to high, which is canonical order.  The
-one child that may close P, e_j = -t, is killed too (t is a sub-sum);
-it is looked up by the packed total and visited in its place.  Each
-killed child still counts as one prune, added as the gap between
-consecutive visited children and the tail after the last, so a search
-that stops early counts exactly the children it passed.  On G x X the
-residue digits are reduced after each shift, and the loop there keeps
-the plain reachable set and tests each child one by one, the zero bit
-after the shift-or.
+axis) each node carries L, the sum of max(0, delta(e)) over the elements
+e of P, which bounds delta(s) for every sub-sum s, and its mask n is
+relative to that base: bit L - delta(s) is set iff s is a nonempty
+sub-sum of P.  So n is at most the sum of |delta(e)| over P bits long,
+whatever the depth.  The root has n = 0 and L = 0, and child j, with
+delta_j = delta(e_j), steps to n << delta_j | n | 1 << L and
+L + delta_j when delta_j >= 0, else to n | n << -delta_j |
+1 << (L - delta_j) and the same L.  Lattice axis d - 1 is the stride-1
+digit and axis 0 the widest, so delta increases along the lexicographic
+order, which is the canonical one.  The kill bit of child j is bit
+L + delta_j of n, set iff -e_j is a sub-sum (none when L + delta_j < 0;
+the zero element is always killed), so the kill set of the children
+elems[start:stop] is one bit window of n, read with one shift (a left
+one when L + delta_start < 0) and one AND against a precomputed int
+holding bit delta_j - delta_0 for each nonzero element
+(``_Space.window``).  The loop visits only the clear bits, low to high,
+which is canonical order.  The one child that may close P, e_j = -t, is
+killed too (t is a sub-sum); it is looked up by the packed total and
+visited in its place.  Each killed child still counts as one prune,
+added as the gap between consecutive visited children and the tail after
+the last, so a search that stops early counts exactly the children it
+passed.  On G x X the loop keeps the plain reachable set, at bit
+``offset`` + delta(s) of a mask sized from the depth, and reduces the
+residue digits after each shift; it tests each child one by one, the
+zero bit after the shift-or.
 
 One kernel serves every ground set: in C_n1 x ... x C_nr x X each residue
 coordinate is one more axis after the d lattice axes, and a box is the
@@ -112,10 +120,11 @@ positives a suffix block elems[kp:], and a node never holds 0 (it is
 zero-sum free).  So a node whose last element is negative holds only
 negatives, as many as its depth, and skips its negative children once
 that reaches M; a node whose last element is positive skips all its
-children, which are positive, once it holds m positives.  Each skipped
-child counts as a prune.  The decision is taken once per node, on the
-child range, so a child costs nothing extra and other searches pay one
-test per node.
+children, which are positive, once it holds m positives (the loop passes
+each node its count of elements with a positive delta, which in d = 1
+are the positives).  Each skipped child counts as a prune.  The decision
+is taken once per node, on the child range, so a child costs nothing
+extra and other searches pay one test per node.
 
 Early stop
 ----------
@@ -226,7 +235,8 @@ class _Space:
         # |sum_c| <= reach[c] for every sub-multiset of <= depth_cap elements
         reach = [depth_cap * max(abs(v[c]) for v in coords) for c in range(d)]
         # Reachability masks: lattice digits sized so every such sum packs
-        # uniquely, non-negative via the offset; a residue digit holds a
+        # uniquely (the residue loop makes bits non-negative via the offset,
+        # the lattice loop via each node's base); a residue digit holds a
         # reduced residue plus one more, and is reduced again after a shift.
         # Lattice axis d - 1 is the stride-1 digit and axis 0 the widest, so
         # deltas increase with the lexicographic (canonical) order; the
@@ -316,24 +326,6 @@ class _Space:
         """The guarded packing of a total: lattice sums, then residue sums."""
         return self._put(self.fields(total))
 
-    def grow(self, n: int, j: int) -> int:
-        """The negated reachable set of P + elems[j], from that of P: bit
-        offset + delta(s) is set iff -s is a nonempty sub-sum (lattice
-        sets; see the module docstring)."""
-        delta = self.deltas[j]
-        return n | (n >> delta if delta >= 0 else n << -delta) | 1 << (self.offset - delta)
-
-    def live(self, n: int, start: int, stop: int) -> int:
-        """The children elems[start:stop] of a lattice node with negated
-        reachable set ``n`` whose kill bit is clear: bit deltas[j] -
-        deltas[start] for each such j.  A child is killed iff -e_j is a
-        sub-sum of P or e_j = 0; a closing child is killed too."""
-        d0 = self.deltas[start]
-        bits = self.window >> (d0 - self.deltas[0])
-        if stop < len(self.deltas):
-            bits &= (1 << (self.deltas[stop] - d0)) - 1
-        return bits ^ (bits & n >> (self.offset + d0))
-
     def certified_atom(self, counts) -> Sequence:
         """The atom with these multiplicities over ``elems``, re-certified by
         ``is_minimal`` (ConsistencyError if the certificate fails)."""
@@ -386,8 +378,8 @@ def _search_sequential(
     cmax = max(closed)
     closing = space.closing
     at = space.at
-    live = space.live
-    grow = space.grow
+    window = space.window
+    dmin = deltas[0]
     signs = space.signs
     if signs is not None:
         kn, kp, most_pos, most_neg = signs
@@ -410,9 +402,11 @@ def _search_sequential(
             if mode == "dav" and length == depth_cap:
                 raise _DepthReached
 
-    def rec(start: int, depth: int, x: int, n: int, stop: int = k):
-        """The lattice loop: ``n`` is the negated reachable set of P, and
-        only the children whose kill bit is clear are visited."""
+    def rec(start: int, depth: int, x: int, n: int, L: int, pos: int, stop: int = k):
+        """The lattice loop: bit L - delta(s) of ``n`` is set iff s is a
+        nonempty sub-sum of P, where L bounds every delta(s), and only the
+        children whose kill bit L + delta_j is clear are visited.  ``pos``
+        counts the elements of P with a positive delta."""
         nonlocal nodes, prunes, closures
         if signs is not None:  # the sign-count cut; children are elems[start:stop]
             if start < kn:  # P is all negative, or the root
@@ -420,7 +414,7 @@ def _search_sequential(
                     cut = min(kn, stop)
                     prunes += cut - start
                     start = cut
-            elif start >= kp and sum(counts[kp:]) >= most_pos:
+            elif start >= kp and pos >= most_pos:
                 prunes += stop - start
                 return
         if start >= stop:
@@ -429,7 +423,11 @@ def _search_sequential(
         cl = CL[depth_cap - nd]
         cr = CR[depth_cap - nd]
         d0 = deltas[start]
-        bits = live(n, start, stop)
+        bits = window >> (d0 - dmin)  # bit delta_j - d0 per nonzero child
+        if stop < k:
+            bits &= (1 << (deltas[stop] - d0)) - 1
+        s = L + d0
+        bits ^= bits & (n >> s if s >= 0 else n << -s)
         jc = closing.get(x)  # the one child that closes P: e_j = -t
         if jc is not None and start <= jc < stop:
             bits |= 1 << (deltas[jc] - d0)
@@ -454,7 +452,11 @@ def _search_sequential(
             if progress is not None and nodes % _PROGRESS_STRIDE == 0:
                 progress(nodes, best_len)
             counts[j] += 1
-            rec(j, nd, nx, grow(n, j))
+            dj = deltas[j]
+            if dj >= 0:
+                rec(j, nd, nx, n << dj | n | 1 << L, L + dj, pos + 1)
+            else:
+                rec(j, nd, nx, n | n << -dj | 1 << (L - dj), L, pos)
             counts[j] -= 1
         prunes += stop - 1 - last
 
@@ -495,7 +497,11 @@ def _search_sequential(
 
     try:
         # the root is the empty multiset: total 0, no reachable sum
-        (rec_residue if space.moduli else rec)(lo, 0, 0, 0, k if hi is None else hi)
+        stop = k if hi is None else hi
+        if space.moduli:
+            rec_residue(lo, 0, 0, 0, stop)
+        else:
+            rec(lo, 0, 0, 0, 0, 0, stop)
     except _DepthReached:
         pass
     return best_len, best_counts, collected, SearchStats(nodes, prunes, closures)

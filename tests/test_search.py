@@ -1,6 +1,6 @@
+import functools
 import itertools
 import multiprocessing
-import random
 import time
 
 import pytest
@@ -437,6 +437,10 @@ class TestTreePinned:
             ("[-1,1]x[0,0]", None, (1, 2, 1)),
             # the zero element, over an exhausted tree
             ("[-8,8]", None, (57623, 328163, 1165)),
+            # negative deltas dominate these trees: such a child keeps its
+            # parent's mask base and shifts the mask left
+            ("[-1,1]^3", 9, (84, 685, 1)),
+            ("{(-2,0,1),(1,1,-1),(0,-1,0),(1,0,0),(0,0,0)}", 20, (38, 93, 2)),
         ],
     )
     def test_davenport_counts(self, text, cap, counts):
@@ -597,20 +601,68 @@ class TestMixedTables:
             assert bit_of[key(e.group_part, e.lattice_part.coords)] == space.offset + space.deltas[j]
 
 
-def _sub_sums(coords, multiset) -> set[tuple[int, ...]]:
-    """The sums of the nonempty sub-multisets of ``multiset`` (indices
-    into ``coords``), by brute force."""
-    items = sorted(set(multiset))
-    sums = set()
-    for mult in itertools.product(*(range(multiset.count(j) + 1) for j in items)):
-        if any(mult):
-            picked = [coords[j] for j, c in zip(items, mult) for _ in range(c)]
-            sums.add(tuple(map(sum, zip(*picked))))
-    return sums
+class _Stop(Exception):
+    pass
+
+
+def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
+    """The orderly search of the ``davkit.search`` docstring over plain
+    sets of sub-sums, no bit packing.  Each child P + e of a node P, in
+    canonical order, is cut by the sign-count rule (in d = 1: a negative e
+    when P holds only negatives, at least max X of them; a positive e when
+    P holds at least -min X positives), else a closure when e = -t, else
+    killed when e = 0 or -e is a sub-sum of P, else cut by the rows
+    (``_direct``), and otherwise extended.  Returns what
+    ``_search_sequential`` does, with the counts as a tuple."""
+    coords = [e.coords for e in enumerate_elements(ground)]
+    k, d = len(coords), len(coords[0])
+    functionals = _functionals(d)
+    rows = functools.cache(lambda j, T, t: _direct(coords, j, T, t, functionals))
+    most_pos, most_neg = max(0, -coords[0][0]), max(0, coords[-1][0])
+    counts = [0] * k
+    collected, best, tally = [], [0, None], [0, 0, 0]
+
+    def emit(length):
+        if mode == "all":
+            collected.append(tuple(counts))
+        if length > best[0]:
+            best[:] = length, tuple(counts)
+            if mode == "dav" and length == depth:
+                raise _Stop
+
+    def visit(P, start, stop, sums, t):
+        neg = sum(coords[i][0] < 0 for i in P)
+        for j in range(start, stop):
+            e = coords[j]
+            nt = tuple(a + b for a, b in zip(t, e))
+            if d == 1 and (
+                e[0] < 0 and neg == len(P) >= most_neg or e[0] > 0 and len(P) - neg >= most_pos
+            ):
+                tally[1] += 1
+            elif not any(nt):
+                tally[2] += 1
+                counts[j] += 1
+                emit(len(P) + 1)
+                counts[j] -= 1
+            elif not any(e) or tuple(-c for c in e) in sums or not rows(j, depth - len(P) - 1, nt):
+                tally[1] += 1
+            else:
+                tally[0] += 1
+                counts[j] += 1
+                grown = {tuple(a + b for a, b in zip(s, e)) for s in sums}
+                visit(P + (j,), j, k, sums | grown | {e}, nt)
+                counts[j] -= 1
+
+    try:
+        visit((), lo, hi, frozenset(), (0,) * d)
+    except _Stop:
+        pass
+    return best[0], best[1], collected, tuple(tally)
 
 
 class TestWindow:
-    """The lattice loop's negated reachable set and its kill window."""
+    """The lattice loop: its digit order, and its visits against a search
+    over plain sets of sub-sums."""
 
     @pytest.mark.parametrize(
         "text",
@@ -627,51 +679,28 @@ class TestWindow:
         [
             ("[-3,4]", 6),
             ("{-7,-3,2,5,6}", 6),
+            ("[-1,1]x[0,0]", 4),
             ("[-2,2]^2", 5),
-            ("{(2,1),(-1,0),(0,-1),(-1,1)}", 5),
-            ("[-1,1]x[0,0]", 3),
+            ("[-1,2]x[-1,1]", 5),
             ("[-1,1]^3", 4),
+            ("{(2,1),(-1,0),(0,-1),(-1,1)}", 5),
+            ("{(-1,0,0),(0,1,0),(1,-1,0),(1,1,0)}", 6),
         ],
     )
     def test_survivors_against_brute_force(self, text, depth):
-        """On random zero-sum free multisets P: the negated mask holds -s
-        for each nonempty sub-sum s, and the window keeps exactly the
-        children e_j != 0 with -e_j no sub-sum, over any [start, stop)."""
-        space = _Space(parse_ground_set(text), depth)
-        coords = [e.coords for e in space.elems]
-        k, zero = len(coords), (0,) * len(coords[0])
-        rng = random.Random(text)
-        tried = killed = 0
-        while tried < 60:
-            P = sorted(rng.choices(range(k), k=rng.randint(0, depth - 1)))
-            sums = _sub_sums(coords, P)
-            if zero in sums:
-                continue
-            tried += 1
-            n = 0
-            for j in P:
-                n = space.grow(n, j)
-            want = 0
-            for size in range(1, len(P) + 1):
-                for sub in itertools.combinations(P, size):
-                    want |= 1 << (space.offset - sum(space.deltas[j] for j in sub))
-            assert n == want, P
-            start = rng.randint(0, k - 1)
-            stop = rng.choice([k, rng.randint(start + 1, k)])
-            bits = space.live(n, start, stop)
-            got = {
-                space.at[space.deltas[start] + b]
-                for b in range(bits.bit_length())
-                if bits >> b & 1
-            }
-            brute = {
-                j
-                for j in range(start, stop)
-                if coords[j] != zero and tuple(-c for c in coords[j]) not in sums
-            }
-            assert got == brute, (P, start, stop)
-            killed += len(brute) < stop - start - (zero in coords[start:stop])
-        assert killed > 0  # the draws do reach sub-sums that kill a child
+        """Counts, collected atoms and best atom of the kernel equal those
+        of ``_set_search``, in both modes, over every root and over a root
+        range that stops before k."""
+        ground = parse_ground_set(text)
+        space = _Space(ground, depth)
+        k = len(space.elems)
+        for lo, hi in [(0, k), (k // 3, k - 1)]:
+            for mode in ("all", "dav"):
+                best_len, best_counts, collected, st_ = _search._search_sequential(
+                    space, depth, mode, lo, hi
+                )
+                got = best_len, best_counts, collected, (st_.nodes, st_.prunes, st_.closures)
+                assert got == _set_search(ground, depth, mode, lo, hi), (mode, lo, hi)
 
 
 def _explicit_sets(dim: int, max_size: int = 4):
