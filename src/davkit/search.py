@@ -32,43 +32,58 @@ zero-sum free, and then every closure P + e is an atom: a proper
 zero-sum sub-multiset Z of P + e would contain e, and P + e - Z would be
 a nonempty zero-sum sub-multiset of P.
 
-On a lattice set (an interval, a box or an explicit set; no residue
-axis) each node carries L, the sum of max(0, delta(e)) over the elements
-e of P, which bounds delta(s) for every sub-sum s, and its mask n is
-relative to that base: bit L - delta(s) is set iff s is a nonempty
-sub-sum of P.  So n is at most the sum of |delta(e)| over P bits long,
-whatever the depth.  The root has n = 0 and L = 0, and child j, with
-delta_j = delta(e_j), steps to n << delta_j | n | 1 << L and
-L + delta_j when delta_j >= 0, else to n | n << -delta_j |
-1 << (L - delta_j) and the same L.  Lattice axis d - 1 is the stride-1
-digit and axis 0 the widest, so delta increases along the lexicographic
-order, which is the canonical one.  The kill bit of child j is bit
-L + delta_j of n, set iff -e_j is a sub-sum (none when L + delta_j < 0;
-the zero element is always killed), so the kill set of the children
+One loop serves every ground set: in C_n1 x ... x C_nr x X each residue
+coordinate is one more axis after the d lattice axes, and a lattice set
+(an interval, a box or an explicit set) is the case r = 0.  Element e_j
+has residues h_ij and the lattice delta lambda_j, the sum of its lattice
+coordinates times their strides, and delta_j = lambda_j + sum_i h_ij*S_i,
+S_i the stride of residue digit i.  Lattice axis d - 1 is the stride-1
+digit and axis 0 the widest of them; the residue digits sit above the
+lattice ones, factor 0 the widest, so delta increases along the
+canonical order (group part, then lattice coordinates).
+
+Each node carries L, the sum of max(0, lambda(e)) over the elements e of
+P, which bounds lambda(s) for every sub-sum s, and a mask n relative to
+that base: for each sub-sum s of P, the empty one included, n has the
+one bit L - lambda(s) + sum_i ((-r_i(s)) mod n_i)*S_i set, r_i(s) the
+residue of s on factor i.  The lattice part L - lambda(s) is at most the
+sum of |lambda(e)| over P, which stays below the lowest residue stride
+because the sum of reach_c*stride_c over the lattice axes is less than
+stride_0*(2*reach_0 + 3).  So on a lattice set n is at most that sum
+bits long, whatever the depth.  Residue digit i is 2*n_i - 1 values wide
+and holds a reduced residue.  The root has n = 1 (the empty sum) and
+L = 0.  With up_j = max(0, lambda_j) and down_j = max(0, -lambda_j) +
+sum_i ((n_i - h_ij) mod n_i)*S_i, child j steps to
+n << up_j | W_j(n << down_j) and base L + up_j: the sub-sums without e_j
+keep their place below the raised base, and those with it, e_j alone
+from the empty sum, move down by lambda_j and negate h_ij more.  The
+shift takes residue digit i from [0, n_i - 1] to [a, n_i - 1 + a],
+a = (n_i - h_ij) mod n_i; W_j moves the bits that reached n_i or more
+down by n_i (``wraps``), onto the values below a that the shift left
+empty, so nothing collides, and the zero sum is the single bit L.  On a
+lattice set W_j is empty and one of up_j, down_j is 0, so the step is
+n << lambda_j | n when lambda_j >= 0, else n | n << -lambda_j.
+(Unreduced residue sums would need depth*(n_i - 1) + 1 values per axis,
+and masks that much wider.)
+
+The kill bit of child j is bit L + delta_j of n, which is lattice part
+L + lambda_j and residue digits h_ij, set iff -e_j is a sub-sum: a
+nonempty one, or the empty one for the zero element, which is always
+killed.  When L + lambda_j < 0 no sub-sum has lattice delta -lambda_j,
+and the bit, if it is >= 0, borrows from the residue digits: its lattice
+part is the lowest residue stride plus L + lambda_j, above that of every
+sub-sum, so it is clear.  So the kill set of the children
 elems[start:stop] is one bit window of n, read with one shift (a left
 one when L + delta_start < 0) and one AND against a precomputed int
-holding bit delta_j - delta_0 for each nonzero element
-(``_Space.window``).  The loop visits only the clear bits, low to high,
-which is canonical order.  The one child that may close P, e_j = -t, is
-killed too (t is a sub-sum); it is looked up by the packed total and
-visited in its place.  Each killed child still counts as one prune,
-added as the gap between consecutive visited children and the tail after
-the last, so a search that stops early counts exactly the children it
-passed.  On G x X the loop keeps the plain reachable set, at bit
-``offset`` + delta(s) of a mask sized from the depth, and reduces the
-residue digits after each shift; it tests each child one by one, the
-zero bit after the shift-or.
-
-One kernel serves every ground set: in C_n1 x ... x C_nr x X each residue
-coordinate is one more axis after the d lattice axes, and a box is the
-case r = 0.  In the masks, residue axis i is a digit of 2*n_i - 1 values
-that holds the reduced residue.  The shift by an element with residue
-h_i > 0 moves it into [h_i, n_i - 1 + h_i]; the bits that reached n_i or
-more then move down by n_i (``wraps``), onto residues below h_i that the
-shift left empty, so nothing collides.  The mask thus holds the sums in
-the group, as a family of masks keyed by residue tuple would, and the
-zero sum is a single bit.  (Unreduced residue sums would need
-depth*(n_i - 1) + 1 values per axis, and masks that much wider.)
+holding bit delta_j - delta_0 for each element (``_Space.window``).  The
+loop visits only the clear bits, low to high, which is canonical order.
+The one child that may close P, e_j = -t, is killed too (t is a
+sub-sum); it is looked up by the packed total (``closing``, keyed by
+c - packed(e_j) for each closed total c, a key that belongs to one
+(c, j) only) and visited in its place.  Each killed child still counts
+as one prune, added as the gap between consecutive visited children and
+the tail after the last, so a search that stops early counts exactly the
+children it passed.
 
 A cheap per-branch feasibility cut keeps a node only while its lattice
 total t can still return to zero within the T elements left: elements of
@@ -115,16 +130,28 @@ then the term added at s_0 = 0 was negative, so at most m of these
 m + 1 values take a positive term.  The negative side is the mirror
 image.  (For G x X the bound is false: D(C3 x [-2,2]) = 9 > 2 + 2.)
 
-In canonical order the negatives are a prefix block elems[:kn] and the
-positives a suffix block elems[kp:], and a node never holds 0 (it is
-zero-sum free).  So a node whose last element is negative holds only
-negatives, as many as its depth, and skips its negative children once
-that reaches M; a node whose last element is positive skips all its
-children, which are positive, once it holds m positives (the loop passes
-each node its count of elements with a positive delta, which in d = 1
-are the positives).  Each skipped child counts as a prune.  The decision
-is taken once per node, on the child range, so a child costs nothing
-extra and other searches pay one test per node.
+In canonical order the negatives are a prefix block elems[:kn], and a
+node never holds 0 (it is zero-sum free).  So a node whose last element
+is negative holds only negatives, as many as its depth, and skips its
+negative children once that reaches M.  Each skipped child counts as a
+prune.  The decision is taken once per node, on the child range, so a
+child costs nothing extra and other searches pay one test per node.
+
+The positive half needs no test.  Take a node P whose last element is
+positive and that holds m positives.  Every child is positive, and so is
+every element after it, so the rows pass a child only if its total is
+<= 0.  A total of 0 would be an atom with m + 1 positives, which the
+bound excludes.  A zero-sum-free multiset over X with a negative total
+holds at most m positives: order it by adding a positive term whenever
+the running sum is <= 0 and a positive is left, and a negative term
+otherwise (one is left while the sum is > 0, as the total is negative).
+The prefix sums are distinct.  Each positive term is added at a prefix
+value <= 0, and every prefix value before the last positive term is
+>= 1 - m (a negative term is added at a sum >= 1, a positive one raises
+the sum), so these values lie in {0} U [1 - m, -1]: at most m.  A
+child P + e that is not killed is zero-sum free.  So every child of P is
+killed or cut by the rows, and counts as the one prune that skipping it
+would count.
 
 Early stop
 ----------
@@ -235,34 +262,38 @@ class _Space:
         # |sum_c| <= reach[c] for every sub-multiset of <= depth_cap elements
         reach = [depth_cap * max(abs(v[c]) for v in coords) for c in range(d)]
         # Reachability masks: lattice digits sized so every such sum packs
-        # uniquely (the residue loop makes bits non-negative via the offset,
-        # the lattice loop via each node's base); a residue digit holds a
-        # reduced residue plus one more, and is reduced again after a shift.
-        # Lattice axis d - 1 is the stride-1 digit and axis 0 the widest, so
-        # deltas increase with the lexicographic (canonical) order; the
-        # residue digits sit above them.
+        # uniquely, and wide enough that a node's lattice parts stay below
+        # the residue digits; a residue digit holds a reduced residue plus
+        # one more, and is reduced again after a shift.  Lattice axis d - 1
+        # is the stride-1 digit and axis 0 the widest, and the residue
+        # digits sit above them, factor 0 the widest, so deltas increase
+        # with the canonical order (group part, then lattice coordinates).
         digits = [2 * m + 3 for m in reach] + [2 * n - 1 for n in moduli]
         strides = [0] * len(digits)
         size = 1
-        for c in [*range(d - 1, -1, -1), *range(d, len(digits))]:
+        for c in [*range(d - 1, -1, -1), *range(len(digits) - 1, d - 1, -1)]:
             strides[c] = size
             size *= digits[c]
-        self.offset = sum((reach[c] + 1) * strides[c] for c in range(d))
         self.deltas = [sum(t * s for t, s in zip(v, strides)) for v in coords]
-        self.moduli = moduli
-        # the lattice loop's window (see the module docstring): bit
-        # deltas[j] - deltas[0] of ``window`` for each nonzero element j,
-        # ``at`` the element of each delta, and ``closing`` the child that
-        # closes each packed total
-        self.window = sum(1 << (t - self.deltas[0]) for t in self.deltas if t)
+        # the loop's window (see the module docstring): bit
+        # deltas[j] - deltas[0] of ``window`` for each element j, and ``at``
+        # the element of each delta
+        self.window = sum(1 << (t - self.deltas[0]) for t in self.deltas)
         self.at = {t: j for j, t in enumerate(self.deltas)}
-        # wraps[j]: per residue axis that elems[j] moves, the bits whose
-        # digit is n_i or more, and the shift that takes n_i off it
+        # per residue axis: the bits whose digit is n_i or more, and the
+        # shift that takes n_i off it
         wrap = []
         for n, w, s in zip(moduli, digits[d:], strides[d:]):
             block = ((1 << (n - 1) * s) - 1) << (n * s)
             wrap.append((sum(block << q for q in range(0, size, w * s)), n * s))
-        self.wraps = [tuple(a for a, h in zip(wrap, v[d:]) if h) for v in coords]
+        # steps[j] = (up, down, wraps): child j of a node with base L steps
+        # to n << up | wraps(n << down), base L + up
+        self.steps = []
+        for v in coords:
+            lat = sum(t * s for t, s in zip(v[:d], strides))
+            neg = sum((-h) % n * s for h, n, s in zip(v[d:], moduli, strides[d:]))
+            wraps = tuple(a for a, h in zip(wrap, v[d:]) if h)
+            self.steps.append((max(0, lat), max(0, -lat) + neg, wraps))
         # guarded totals (see the module docstring): field f starts at
         # shifts[f]; the nf lattice functionals come first, then residue
         # field i, which holds an unreduced residue sum in [0, rmax[i]], and
@@ -279,12 +310,13 @@ class _Space:
         self.shifts = shifts
         self.guards = sum(1 << (s + w) for s, w in zip(shifts, widths))
         self.packed = [self._put(u) for u in fields]
-        self.closing = {-p: j for j, p in enumerate(self.packed)}
-        # the zero-sum totals: lattice sums 0, residue sums multiples of n_i
+        # the zero-sum totals: lattice sums 0, residue sums multiples of n_i;
+        # ``closing`` maps a total to the one child that closes it
         self.closed = frozenset(
             self.pack([0] * d + list(res))
             for res in itertools.product(*(range(0, m + 1, n) for n, m in zip(moduli, rmax)))
         )
+        self.closing = {c - p: j for j, p in enumerate(self.packed) for c in self.closed}
         # up[j] / down[j] pack how far elements >= j move each functional up
         # / down; rows are built on first use, so memory follows the depth
         # reached.  A residue axis moves down by rmax[i]: row T >= 1 passes
@@ -302,14 +334,12 @@ class _Space:
         self.CL = _Rows(self.guards, up)
         self.CR = _Rows(self.guards, down)
         # the sign-count cut (one-dimensional lattice sets only): elems[:kn]
-        # are negative, elems[kp:] positive, and an atom has at most
-        # max(0, -min X) positive and max(0, max X) negative terms
-        self.signs = None
+        # are negative, and an atom has at most max(0, max X) negative
+        # terms; kn = 0 where the cut does not apply
+        self.signs = (0, 0)
         if d == 1 and not moduli:
             values = [v[0] for v in coords]
-            kn = sum(v < 0 for v in values)
-            kp = k - sum(v > 0 for v in values)
-            self.signs = (kn, kp, max(0, -values[0]), max(0, values[-1]))
+            self.signs = (sum(v < 0 for v in values), max(0, values[-1]))
 
     def fields(self, total) -> list[int]:
         """The fields of the guarded total for a total (lattice sums, then
@@ -367,22 +397,16 @@ def _search_sequential(
     """
     k = len(space.elems)
     deltas = space.deltas
-    offset = space.offset
-    zero_bit = 1 << offset
-    wraps = space.wraps
+    steps = space.steps
     packed = space.packed
     H = space.guards
     CL = space.CL
     CR = space.CR
-    closed = space.closed
-    cmax = max(closed)
     closing = space.closing
     at = space.at
     window = space.window
     dmin = deltas[0]
-    signs = space.signs
-    if signs is not None:
-        kn, kp, most_pos, most_neg = signs
+    kn, most_neg = space.signs
 
     counts = [0] * k
     collected: list[tuple[int, ...]] = []
@@ -402,28 +426,23 @@ def _search_sequential(
             if mode == "dav" and length == depth_cap:
                 raise _DepthReached
 
-    def rec(start: int, depth: int, x: int, n: int, L: int, pos: int, stop: int = k):
-        """The lattice loop: bit L - delta(s) of ``n`` is set iff s is a
-        nonempty sub-sum of P, where L bounds every delta(s), and only the
-        children whose kill bit L + delta_j is clear are visited.  ``pos``
-        counts the elements of P with a positive delta."""
+    def rec(start: int, depth: int, x: int, n: int, L: int, stop: int = k):
+        """``n`` holds the sub-sums of P relative to the base L (see the
+        module docstring), and only the children whose kill bit L + delta_j
+        is clear are visited."""
         nonlocal nodes, prunes, closures
-        if signs is not None:  # the sign-count cut; children are elems[start:stop]
-            if start < kn:  # P is all negative, or the root
-                if depth >= most_neg:
-                    cut = min(kn, stop)
-                    prunes += cut - start
-                    start = cut
-            elif start >= kp and pos >= most_pos:
-                prunes += stop - start
-                return
+        # the sign-count cut: P is all negative, or the root
+        if start < kn and depth >= most_neg:
+            cut = min(kn, stop)
+            prunes += cut - start
+            start = cut
         if start >= stop:
             return
         nd = depth + 1
         cl = CL[depth_cap - nd]
         cr = CR[depth_cap - nd]
         d0 = deltas[start]
-        bits = window >> (d0 - dmin)  # bit delta_j - d0 per nonzero child
+        bits = window >> (d0 - dmin)  # bit delta_j - d0 per child
         if stop < k:
             bits &= (1 << (deltas[stop] - d0)) - 1
         s = L + d0
@@ -452,56 +471,19 @@ def _search_sequential(
             if progress is not None and nodes % _PROGRESS_STRIDE == 0:
                 progress(nodes, best_len)
             counts[j] += 1
-            dj = deltas[j]
-            if dj >= 0:
-                rec(j, nd, nx, n << dj | n | 1 << L, L + dj, pos + 1)
-            else:
-                rec(j, nd, nx, n | n << -dj | 1 << (L - dj), L, pos)
+            up, down, wraps = steps[j]
+            m = n << down
+            if wraps:
+                for over, w in wraps:  # reduce the residues that reached n_i
+                    f = m & over
+                    m ^= f ^ (f >> w)
+            rec(j, nd, nx, n << up | m, L + up)
             counts[j] -= 1
         prunes += stop - 1 - last
 
-    def rec_residue(start: int, depth: int, x: int, m: int, stop: int = k):
-        """The residue loop (G x X): ``m`` is the reachable set of P, and
-        each child is tested one by one."""
-        nonlocal nodes, prunes, closures
-        nd = depth + 1
-        cl = CL[depth_cap - nd]
-        cr = CR[depth_cap - nd]
-        for j in range(start, stop):
-            nx = x + packed[j]
-            if 0 <= nx <= cmax and nx in closed:  # the range test is the cheap one
-                closures += 1  # P is zero-sum free, so P + e is an atom
-                counts[j] += 1
-                emit(nd)
-                counts[j] -= 1
-                continue
-            if (nx + cl[j]) & (cr[j] - nx) & H != H:  # T = 0 cuts at the depth
-                prunes += 1
-                continue
-            delta = deltas[j]
-            sm = m << delta if delta >= 0 else m >> -delta
-            if wraps[j]:
-                for over, s in wraps[j]:  # reduce the residues that reached n_i
-                    f = sm & over
-                    sm ^= f ^ (f >> s)
-            nm = m | sm | 1 << (offset + delta)
-            if nm & zero_bit:
-                prunes += 1
-                continue
-            nodes += 1
-            if progress is not None and nodes % _PROGRESS_STRIDE == 0:
-                progress(nodes, best_len)
-            counts[j] += 1
-            rec_residue(j, nd, nx, nm)
-            counts[j] -= 1
-
     try:
-        # the root is the empty multiset: total 0, no reachable sum
-        stop = k if hi is None else hi
-        if space.moduli:
-            rec_residue(lo, 0, 0, 0, stop)
-        else:
-            rec(lo, 0, 0, 0, 0, 0, stop)
+        # the root is the empty multiset: total 0, and only the empty sum
+        rec(lo, 0, 0, 1, 0, k if hi is None else hi)
     except _DepthReached:
         pass
     return best_len, best_counts, collected, SearchStats(nodes, prunes, closures)

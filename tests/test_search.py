@@ -12,6 +12,7 @@ from davkit import (
     GroupProduct,
     GroupSpec,
     Interval,
+    MixedElement,
     ValidationError,
     all_atoms,
     atoms_brute,
@@ -565,40 +566,60 @@ class TestMixedTables:
         "text,depth", [("C3x{-1,2}", 3), ("C2xC2x{(1,0),(-1,1),(0,-1)}", 3), ("C2xC4x[-1,1]", 2)]
     )
     def test_mask_bits(self, text, depth):
-        """Walk the kernel's shift-and-wrap step over every multiset of at
-        most ``depth`` elements: one bit per sum in the group, the zero sum
-        on the zero bit, and each element on its own bit."""
+        """Walk the kernel's step from the empty root (the empty sum on bit
+        0, base 0) over every multiset of at most ``depth`` elements, and
+        each sub-sum's bit along with it: one bit per sum in the group, at
+        the same offset below the base in every node; the zero sum on the
+        base; and, for each element e_j, bit L + delta_j set iff -e_j is a
+        sub-sum."""
         space = _Space(parse_ground_set(text), depth)
         elems = space.elems
-        moduli = elems[0].group.factors
+        moduli, dim = elems[0].group.factors, elems[0].dim
 
-        def step(bit, j):
-            delta = space.deltas[j]
-            m = 1 << bit << delta if delta >= 0 else 1 << bit >> -delta
-            for over, s in space.wraps[j]:
+        def lowered(m, j):  # the wrap reduction of m << down_j
+            for over, w in space.steps[j][2]:
                 f = m & over
-                m ^= f ^ (f >> s)
-            assert m.bit_count() == 1
-            return m.bit_length() - 1
+                m ^= f ^ (f >> w)
+            return m
 
-        def key(residues, lattice):
-            return tuple(r % n for r, n in zip(residues, moduli)), lattice
+        def key(sub):  # the sum of elems[sub] in the group
+            residues = [sum(elems[j].group_part[i] for j in sub) for i in range(len(moduli))]
+            lattice = [sum(elems[j].lattice_part.coords[c] for j in sub) for c in range(dim)]
+            return tuple(r % n for r, n in zip(residues, moduli)), tuple(lattice)
 
-        bit_of = {}
+        def negative(e):
+            return (
+                tuple(-r % n for r, n in zip(e.group_part, moduli)),
+                tuple(-c for c in e.lattice_part.coords),
+            )
+
+        offset = {}  # L - bit, per sum in the group
         for size in range(1, depth + 1):
             for multiset in itertools.combinations_with_replacement(range(len(elems)), size):
-                bit = space.offset
-                for j in multiset:
-                    bit = step(bit, j)
-                total = key(
-                    [sum(elems[j].group_part[i] for j in multiset) for i in range(len(moduli))],
-                    tuple(map(sum, zip(*(elems[j].lattice_part.coords for j in multiset)))),
-                )
-                assert bit_of.setdefault(total, bit) == bit, multiset
-        assert len(set(bit_of.values())) == len(bit_of)
-        assert bit_of[key([0] * len(moduli), (0,) * elems[0].dim)] == space.offset
-        for j, e in enumerate(elems):
-            assert bit_of[key(e.group_part, e.lattice_part.coords)] == space.offset + space.deltas[j]
+                n, L = 1, 0
+                bits = {(): 0}  # sub-multiset (positions in ``multiset``) -> its bit
+                for pos, j in enumerate(multiset):
+                    up, down, _ = space.steps[j]
+                    bits = {
+                        **{sub: bit + up for sub, bit in bits.items()},
+                        **{
+                            sub + (pos,): lowered(1 << (bit + down), j).bit_length() - 1
+                            for sub, bit in bits.items()
+                        },
+                    }
+                    n, L = n << up | lowered(n << down, j), L + up
+                sums = {}
+                for sub, bit in bits.items():
+                    assert n >> bit & 1, (multiset, sub)
+                    total = key([multiset[p] for p in sub])
+                    assert sums.setdefault(total, bit) == bit, (multiset, sub)
+                    assert offset.setdefault(total, L - bit) == L - bit, (multiset, sub)
+                assert n.bit_count() == len(sums), multiset
+                for j, e in enumerate(elems):
+                    bit = L + space.deltas[j]
+                    assert (bit >= 0 and n >> bit & 1 == 1) == (negative(e) in sums), (multiset, j)
+        assert len(set(offset.values())) == len(offset)
+        assert offset[(0,) * len(moduli), (0,) * dim] == 0
 
 
 class _Stop(Exception):
@@ -607,20 +628,37 @@ class _Stop(Exception):
 
 def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
     """The orderly search of the ``davkit.search`` docstring over plain
-    sets of sub-sums, no bit packing.  Each child P + e of a node P, in
-    canonical order, is cut by the sign-count rule (in d = 1: a negative e
-    when P holds only negatives, at least max X of them; a positive e when
-    P holds at least -min X positives), else a closure when e = -t, else
-    killed when e = 0 or -e is a sub-sum of P, else cut by the rows
-    (``_direct``), and otherwise extended.  Returns what
-    ``_search_sequential`` does, with the counts as a tuple."""
-    coords = [e.coords for e in enumerate_elements(ground)]
-    k, d = len(coords), len(coords[0])
+    sets of sub-sums in the group, no bit packing.  Each child P + e of a
+    node P, in canonical order, is cut by the sign-count rule (on a 1-D
+    lattice set: a negative e when P holds only negatives, at least max X
+    of them; a positive e when P holds at least -min X positives), else a
+    closure when e = -t, else killed when e = 0 or -e is a sub-sum of P,
+    else cut by the rows (``_direct`` on the lattice part; at T = 0 every
+    child), and otherwise extended.  Returns what ``_search_sequential``
+    does, with the counts as a tuple."""
+    elems = enumerate_elements(ground)
+    if isinstance(elems[0], MixedElement):
+        moduli = elems[0].group.factors
+        coords = [e.lattice_part.coords + e.group_part for e in elems]
+    else:
+        moduli = ()
+        coords = [e.coords for e in elems]
+    k, d = len(coords), len(coords[0]) - len(moduli)
+    lattice = [v[:d] for v in coords]
     functionals = _functionals(d)
-    rows = functools.cache(lambda j, T, t: _direct(coords, j, T, t, functionals))
+    rows = functools.cache(lambda j, T, t: T >= 1 and _direct(lattice, j, T, t, functionals))
     most_pos, most_neg = max(0, -coords[0][0]), max(0, coords[-1][0])
+    signs = d == 1 and not moduli
     counts = [0] * k
     collected, best, tally = [], [0, None], [0, 0, 0]
+
+    def add(s, e):  # the sum in Z^d x G
+        return tuple(a + b for a, b in zip(s[:d], e)) + tuple(
+            (a + b) % n for a, b, n in zip(s[d:], e[d:], moduli)
+        )
+
+    def neg(e):
+        return add((0,) * len(e), tuple(-c for c in e))
 
     def emit(length):
         if mode == "all":
@@ -631,12 +669,13 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
                 raise _Stop
 
     def visit(P, start, stop, sums, t):
-        neg = sum(coords[i][0] < 0 for i in P)
+        neg_count = sum(coords[i][0] < 0 for i in P)
         for j in range(start, stop):
             e = coords[j]
-            nt = tuple(a + b for a, b in zip(t, e))
-            if d == 1 and (
-                e[0] < 0 and neg == len(P) >= most_neg or e[0] > 0 and len(P) - neg >= most_pos
+            nt = add(t, e)
+            if signs and (
+                e[0] < 0 and neg_count == len(P) >= most_neg
+                or e[0] > 0 and len(P) - neg_count >= most_pos
             ):
                 tally[1] += 1
             elif not any(nt):
@@ -644,30 +683,30 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
                 counts[j] += 1
                 emit(len(P) + 1)
                 counts[j] -= 1
-            elif not any(e) or tuple(-c for c in e) in sums or not rows(j, depth - len(P) - 1, nt):
+            elif not any(e) or neg(e) in sums or not rows(j, depth - len(P) - 1, nt[:d]):
                 tally[1] += 1
             else:
                 tally[0] += 1
                 counts[j] += 1
-                grown = {tuple(a + b for a, b in zip(s, e)) for s in sums}
-                visit(P + (j,), j, k, sums | grown | {e}, nt)
+                visit(P + (j,), j, k, sums | {add(s, e) for s in sums} | {e}, nt)
                 counts[j] -= 1
 
     try:
-        visit((), lo, hi, frozenset(), (0,) * d)
+        visit((), lo, hi, frozenset(), (0,) * len(coords[0]))
     except _Stop:
         pass
     return best[0], best[1], collected, tuple(tally)
 
 
 class TestWindow:
-    """The lattice loop: its digit order, and its visits against a search
+    """The search loop: its digit order, and its visits against a search
     over plain sets of sub-sums."""
 
     @pytest.mark.parametrize(
         "text",
         ["[-3,4]", "{-7,-3,2,5,6}", "[-1,1]x[0,0]", "[-2,2]^2", "[-1,2]x[-1,1]", "[-1,1]^3",
-         "{(2,1),(-1,0),(0,-1),(-1,1)}", "{(-1,0,0),(0,1,0),(1,-1,0),(1,1,0)}"],
+         "{(2,1),(-1,0),(0,-1),(-1,1)}", "{(-1,0,0),(0,1,0),(1,-1,0),(1,1,0)}",
+         "C3x[-2,2]", "C2xC4x[-1,1]", "C2xC2x{(1,0),(-1,1),(0,-1)}"],
     )
     def test_deltas_increase_in_canonical_order(self, text):
         for depth in (1, 5):
@@ -678,6 +717,8 @@ class TestWindow:
         "text,depth",
         [
             ("[-3,4]", 6),
+            # the full depth: the negative sign-count cut decides here
+            ("[-3,3]", 6),
             ("{-7,-3,2,5,6}", 6),
             ("[-1,1]x[0,0]", 4),
             ("[-2,2]^2", 5),
@@ -685,6 +726,11 @@ class TestWindow:
             ("[-1,1]^3", 4),
             ("{(2,1),(-1,0),(0,-1),(-1,1)}", 5),
             ("{(-1,0,0),(0,1,0),(1,-1,0),(1,1,0)}", 6),
+            ("C3x[-2,2]", 5),
+            ("C3x{-1,2}", 5),
+            ("C2xC4x[-1,1]", 5),
+            ("C2xC2x{(1,0),(-1,1),(0,-1)}", 5),
+            ("C2x[-1,1]^2", 5),
         ],
     )
     def test_survivors_against_brute_force(self, text, depth):
