@@ -118,6 +118,31 @@ multiset of at most T elements of index >= j moves u.t by an amount in
 is sized from depth*max|u.e| like a lattice axis.  A zero lattice total
 has every such field 0, so ``closed`` still means a zero sum.
 
+On a lattice set (an interval, a box or an explicit set) each node has a
+second row pair, taken over the elements that P leaves alive instead of
+a suffix.  Let e be an element with -e = sum(S) for some S in P, that is,
+one whose kill bit is set; the empty S kills e = 0.  Then e never
+appears below P.  If it joined a node P'' that contains P, S + e would
+be a zero-sum part of P'' + e, so e is killed at P''.  If it closed a
+node P'' that strictly contains P, P'' - S would be a nonempty zero-sum
+part of P'', which is zero-sum free.  (The child that closes P itself
+ends its branch and meets no rows.)  So below a child P + e_j, each
+element added is one of index >= start whose kill bit at P is clear,
+and at most T of them can still be added.  The child is cut unless, for
+every functional u, u.t lies in [-T*max(0, max u.e), T*max(0, -min u.e)]
+over those alive e.  A child must pass both row pairs; neither implies
+the other, since the suffix rows see only the elements >= j but all of
+them.  The alive set is read over [start, k), before a root range's
+``stop`` clips the children: the subtrees below the roots use every
+element after ``stop``.  Its pair (up, down) is packed like the steps
+of CL and CR, built from per-functional masks (for each v by which a
+functional moves, the elements that move it by v, v descending, so the
+first mask that meets the alive set gives the largest move;
+``_Space.moves``), and cached per search, keyed by the alive set.  Values, witnesses, atom lists and closure counts stay
+the same; the node and prune counts drop.  A G x X search keeps only
+the suffix rows, decided once per search, so a product's child costs no
+extra big-integer operation.
+
 On a one-dimensional lattice set X (an interval or a 1-D explicit set;
 never a group product) the search also applies Lambert's sign-count
 bound: an atom over X has at most m = max(0, -min X) positive and at
@@ -317,22 +342,34 @@ class _Space:
             for res in itertools.product(*(range(0, m + 1, n) for n, m in zip(moduli, rmax)))
         )
         self.closing = {c - p: j for j, p in enumerate(self.packed) for c in self.closed}
-        # up[j] / down[j] pack how far elements >= j move each functional up
-        # / down; rows are built on first use, so memory follows the depth
-        # reached.  A residue axis moves down by rmax[i]: row T >= 1 passes
-        # any residue sum, and row 0 only residue 0, so it cuts every
-        # non-closure.
-        k = len(elems)
-        up, down = [0] * k, [0] * k
-        hi, lo = [0] * nf, [0] * nf
-        for j in range(k - 1, -1, -1):
+        # the masks of ``moves``: for each direction (up, then down) and
+        # lattice functional f, a pair (v << shifts[f], mask) for each v > 0
+        # that f moves that way, v descending, mask holding bit
+        # deltas[j] - deltas[0] of each element j that moves f by v
+        dmin = self.deltas[0]
+        bits = [1 << (t - dmin) for t in self.deltas]
+        self.reaches = []
+        for sign in (1, -1):
+            half = []
             for f in range(nf):
-                hi[f] = max(hi[f], fields[j][f])
-                lo[f] = min(lo[f], fields[j][f])
-            up[j] = self._put(hi + [0] * len(rmax))
-            down[j] = self._put([-t for t in lo] + rmax)
-        self.CL = _Rows(self.guards, up)
-        self.CR = _Rows(self.guards, down)
+                by = {}
+                for b, u in zip(bits, fields):
+                    if sign * u[f] > 0:
+                        by[sign * u[f]] = by.get(sign * u[f], 0) | b
+                half.append([(v << shifts[f], by[v]) for v in sorted(by, reverse=True)])
+            self.reaches.append(half)
+        # row T of CL / CR holds guards + T * how far the elements >= j move
+        # each functional up / down; rows are built on first use, so memory
+        # follows the depth reached.  A residue axis moves down by rmax[i]:
+        # row T >= 1 passes any residue sum, and row 0 only residue 0, so it
+        # cuts every non-closure.
+        suffixes = [self.moves(self.window >> (t - dmin) << (t - dmin)) for t in self.deltas]
+        residues = self._put([0] * nf + rmax)
+        self.CL = _Rows(self.guards, [up for up, _ in suffixes])
+        self.CR = _Rows(self.guards, [down + residues for _, down in suffixes])
+        # the window rows, over the elements a node leaves alive, serve
+        # lattice sets only (see the module docstring)
+        self.lattice = not moduli
         # the sign-count cut (one-dimensional lattice sets only): elems[:kn]
         # are negative, and an atom has at most max(0, max X) negative
         # terms; kn = 0 where the cut does not apply
@@ -340,6 +377,21 @@ class _Space:
         if d == 1 and not moduli:
             values = [v[0] for v in coords]
             self.signs = (sum(v < 0 for v in values), max(0, values[-1]))
+
+    def moves(self, alive: int) -> list[int]:
+        """[up, down]: how far the elements whose bits are set in ``alive``
+        (laid out like ``window``) move each lattice functional up and down,
+        packed like the guarded total."""
+        rows = []
+        for half in self.reaches:
+            row = 0
+            for masks in half:
+                for v, mask in masks:  # the first v met is the largest
+                    if alive & mask:
+                        row += v
+                        break
+            rows.append(row)
+        return rows
 
     def fields(self, total) -> list[int]:
         """The fields of the guarded total for a total (lattice sums, then
@@ -407,6 +459,8 @@ def _search_sequential(
     window = space.window
     dmin = deltas[0]
     kn, most_neg = space.signs
+    lattice = space.lattice
+    windows = {}  # alive elements, laid out like ``window`` -> [up, down]
 
     counts = [0] * k
     collected: list[tuple[int, ...]] = []
@@ -439,14 +493,25 @@ def _search_sequential(
         if start >= stop:
             return
         nd = depth + 1
-        cl = CL[depth_cap - nd]
-        cr = CR[depth_cap - nd]
+        T = depth_cap - nd
+        cl = CL[T]
+        cr = CR[T]
         d0 = deltas[start]
         bits = window >> (d0 - dmin)  # bit delta_j - d0 per child
-        if stop < k:
-            bits &= (1 << (deltas[stop] - d0)) - 1
         s = L + d0
         bits ^= bits & (n >> s if s >= 0 else n << -s)
+        wl = 0
+        if lattice:
+            # the rows of the elements >= start that P leaves alive, read
+            # before the root's ``stop`` clip: the subtree uses all of them
+            alive = bits << (d0 - dmin)
+            rows = windows.get(alive)
+            if rows is None:
+                rows = windows[alive] = space.moves(alive)
+            wl = H + T * rows[0]
+            wr = H + T * rows[1]
+        if stop < k:
+            bits &= (1 << (deltas[stop] - d0)) - 1
         jc = closing.get(x)  # the one child that closes P: e_j = -t
         if jc is not None and start <= jc < stop:
             bits |= 1 << (deltas[jc] - d0)
@@ -464,7 +529,8 @@ def _search_sequential(
                 emit(nd)
                 counts[j] -= 1
                 continue
-            if (nx + cl[j]) & (cr[j] - nx) & H != H:  # T = 0 cuts at the depth
+            # T = 0 cuts at the depth
+            if wl and (nx + wl) & (wr - nx) & H != H or (nx + cl[j]) & (cr[j] - nx) & H != H:
                 prunes += 1
                 continue
             nodes += 1
@@ -486,6 +552,8 @@ def _search_sequential(
         rec(lo, 0, 0, 1, 0, k if hi is None else hi)
     except _DepthReached:
         pass
+    finally:
+        rec = None  # rec's closure holds rec: free the search's tables now
     return best_len, best_counts, collected, SearchStats(nodes, prunes, closures)
 
 

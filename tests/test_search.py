@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import multiprocessing
+import random
 import time
 
 import pytest
@@ -410,18 +412,19 @@ def test_hunt_chi_gap_smoke():
 
 class TestTreePinned:
     """(nodes, prunes, closures) at threads=1: the pruning decisions of the
-    guarded running total are those of the direct inequalities, and the
-    sign-count cut prunes one-dimensional sets.  A node is a multiset the
-    search extends; the empty root is not counted."""
+    guarded running total are those of the direct inequalities, the
+    window rows prune lattice sets, and the sign-count cut prunes
+    one-dimensional sets.  A node is a multiset the search extends; the
+    empty root is not counted."""
 
     @pytest.mark.parametrize(
         "text,cap,counts",
         [
-            ("[-7,7]", None, (14538, 71286, 560)),
-            ("[-6,10]", None, (23071, 178410, 957)),
-            ("[-1,2]x[-1,1]", None, (18477, 116555, 39)),
-            ("[-1,1]^3", 7, (48, 471, 1)),
-            ("{(2,1),(-1,0),(0,-1),(-1,1)}", None, (787, 881, 3)),
+            ("[-7,7]", None, (9461, 41955, 560)),
+            ("[-6,10]", None, (12519, 76121, 957)),
+            ("[-1,2]x[-1,1]", None, (1503, 9296, 39)),
+            ("[-1,1]^3", 7, (47, 468, 1)),
+            ("{(2,1),(-1,0),(0,-1),(-1,1)}", None, (183, 277, 3)),
             # neither cut applies to a group product over one lattice axis;
             # the sign count would be false here (D = 9 > 2 + 2)
             ("C3x[-2,2]", None, (11817, 41949, 406)),
@@ -432,16 +435,16 @@ class TestTreePinned:
             # stopped early: a killed child counts as a prune only once the
             # loop has passed it
             ("[-6,7]", None, (12, 13, 1)),
-            ("[-2,2]^2", 8, (18, 124, 1)),
+            ("[-2,2]^2", 8, (7, 23, 1)),
             ("[-3,4]", None, (6, 7, 1)),
             ("{-7,-3,2,5,6}", None, (12, 4, 1)),
             ("[-1,1]x[0,0]", None, (1, 2, 1)),
             # the zero element, over an exhausted tree
-            ("[-8,8]", None, (57623, 328163, 1165)),
+            ("[-8,8]", None, (35218, 180727, 1165)),
             # negative deltas dominate these trees: such a child keeps its
             # parent's mask base and shifts the mask left
-            ("[-1,1]^3", 9, (84, 685, 1)),
-            ("{(-2,0,1),(1,1,-1),(0,-1,0),(1,0,0),(0,0,0)}", 20, (38, 93, 2)),
+            ("[-1,1]^3", 9, (78, 676, 1)),
+            ("{(-2,0,1),(1,1,-1),(0,-1,0),(1,0,0),(0,0,0)}", 20, (28, 83, 2)),
         ],
     )
     def test_davenport_counts(self, text, cap, counts):
@@ -450,8 +453,8 @@ class TestTreePinned:
 
     def test_atoms_of_length_counts(self):
         for text, length, atoms, counts in [
-            ("[-5,5]", 9, 2, (708, 2632, 100)),
-            ("[-2,2]^2", 8, 644, (29042, 219189, 3577)),
+            ("[-5,5]", 9, 2, (491, 1646, 100)),
+            ("[-2,2]^2", 8, 644, (21196, 156622, 3577)),
         ]:
             _, _, _, collected, st_ = _run_search(parse_ground_set(text), length, "all")
             assert len([c for c in collected if sum(c) == length]) == atoms
@@ -485,7 +488,7 @@ def _direct(coords, j: int, T: int, t, functionals) -> bool:
     for u in functionals:
         values = [sum(a * b for a, b in zip(u, v)) for v in coords[j:]]
         ut = sum(a * b for a, b in zip(u, t))
-        if not -T * max(0, *values) <= ut <= T * max(0, *(-w for w in values)):
+        if not -T * max([0, *values]) <= ut <= T * max([0, *(-w for w in values)]):
             return False
     return True
 
@@ -634,8 +637,10 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
     of them; a positive e when P holds at least -min X positives), else a
     closure when e = -t, else killed when e = 0 or -e is a sub-sum of P,
     else cut by the rows (``_direct`` on the lattice part; at T = 0 every
-    child), and otherwise extended.  Returns what ``_search_sequential``
-    does, with the counts as a tuple."""
+    child), else, on a lattice set, cut by ``_direct`` over the elements
+    that P leaves alive (index i >= the node's start, not the root range's,
+    e_i != 0 and -e_i not a sub-sum of P), and otherwise extended.  Returns
+    what ``_search_sequential`` does, with the counts as a tuple."""
     elems = enumerate_elements(ground)
     if isinstance(elems[0], MixedElement):
         moduli = elems[0].group.factors
@@ -647,6 +652,7 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
     lattice = [v[:d] for v in coords]
     functionals = _functionals(d)
     rows = functools.cache(lambda j, T, t: T >= 1 and _direct(lattice, j, T, t, functionals))
+    window = functools.cache(lambda alive, T, t: not moduli and not _direct(alive, 0, T, t, functionals))
     most_pos, most_neg = max(0, -coords[0][0]), max(0, coords[-1][0])
     signs = d == 1 and not moduli
     counts = [0] * k
@@ -670,6 +676,7 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
 
     def visit(P, start, stop, sums, t):
         neg_count = sum(coords[i][0] < 0 for i in P)
+        alive = tuple(lattice[i] for i in range(start, k) if any(coords[i]) and neg(coords[i]) not in sums)
         for j in range(start, stop):
             e = coords[j]
             nt = add(t, e)
@@ -683,7 +690,12 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
                 counts[j] += 1
                 emit(len(P) + 1)
                 counts[j] -= 1
-            elif not any(e) or neg(e) in sums or not rows(j, depth - len(P) - 1, nt[:d]):
+            elif (
+                not any(e)
+                or neg(e) in sums
+                or not rows(j, depth - len(P) - 1, nt[:d])
+                or window(alive, depth - len(P) - 1, nt[:d])
+            ):
                 tally[1] += 1
             else:
                 tally[0] += 1
@@ -735,18 +747,64 @@ class TestWindow:
     )
     def test_survivors_against_brute_force(self, text, depth):
         """Counts, collected atoms and best atom of the kernel equal those
-        of ``_set_search``, in both modes, over every root and over a root
-        range that stops before k."""
+        of ``_set_search``, in both modes, over every root, over a root
+        range that stops before k, and over the one root a pool task runs."""
         ground = parse_ground_set(text)
         space = _Space(ground, depth)
         k = len(space.elems)
-        for lo, hi in [(0, k), (k // 3, k - 1)]:
+        for lo, hi in [(0, k), (k // 3, k - 1), (1, 2)]:
             for mode in ("all", "dav"):
                 best_len, best_counts, collected, st_ = _search._search_sequential(
                     space, depth, mode, lo, hi
                 )
                 got = best_len, best_counts, collected, (st_.nodes, st_.prunes, st_.closures)
                 assert got == _set_search(ground, depth, mode, lo, hi), (mode, lo, hi)
+
+
+class TestWindowRows:
+    """``_Space.moves`` against the largest rise and fall of each
+    functional over the window's elements."""
+
+    @pytest.mark.parametrize(
+        "text,depth",
+        [("[-3,4]", 6), ("[-3,3]", 6), ("{-7,-3,2,5,6}", 6), ("[-1,1]x[0,0]", 4), ("[-2,2]^2", 5),
+         ("[-1,2]x[-1,1]", 5), ("[-1,1]^3", 4), ("{(2,1),(-1,0),(0,-1),(-1,1)}", 5),
+         ("{(-1,0,0),(0,1,0),(1,-1,0),(1,1,0)}", 6)],
+    )
+    def test_packed_extremes(self, text, depth):
+        space = _Space(parse_ground_set(text), depth)
+        coords = [e.coords for e in space.elems]
+        k, functionals = len(coords), _functionals(len(coords[0]))
+        rng = random.Random(text)
+        windows = [(), tuple(range(k))]
+        windows += [tuple(j for j in range(k) if rng.random() < p) for p in (0.2, 0.5, 0.8) for _ in range(20)]
+        for window in windows:
+            alive = sum(1 << (space.deltas[j] - space.deltas[0]) for j in window)
+            values = [[sum(a * b for a, b in zip(u, coords[j])) for j in window] for u in functionals]
+            up = sum(max([0, *v]) << s for v, s in zip(values, space.shifts))
+            down = sum(max([0, *(-w for w in v)]) << s for v, s in zip(values, space.shifts))
+            assert space.moves(alive) == [up, down], window
+
+
+class TestNoCycles:
+    """A search frees its tables when it returns, not at the next run of
+    the cyclic garbage collector."""
+
+    @pytest.mark.parametrize(
+        "operation",
+        [lambda: davenport(Interval(-7, 7)), lambda: atoms_of_length(Interval(-5, 5), 9),
+         lambda: all_atoms(parse_ground_set("[-1,1]^2"))],
+        ids=["davenport", "atoms_of_length", "all_atoms"],
+    )
+    def test_search_leaves_no_garbage(self, operation):
+        operation()
+        gc.collect()
+        gc.disable()
+        try:
+            operation()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _explicit_sets(dim: int, max_size: int = 4):
