@@ -25,7 +25,6 @@ from .core import (
     GroupSpec,
     Interval,
     ValidationError,
-    box,
 )
 
 
@@ -212,10 +211,6 @@ _ZERO = Interval(0, 0)
 
 def _symmetric_cube_shape(ground: GroundSet) -> tuple[int, int] | None:
     """(m, d) when the set is [-m, m]^d, else None."""
-    if isinstance(ground, Interval):
-        if ground.lo == -ground.hi and ground.hi >= 1:
-            return ground.hi, 1
-        return None
     if isinstance(ground, Box):
         ivs = ground.intervals
         m = ivs[0][1]
@@ -241,12 +236,11 @@ def zero_slice(ground: GroundSet) -> GroundSet | None:
     if isinstance(ground, GroupProduct):
         base = zero_slice(ground.base)
         return None if base is None else GroupProduct(ground.group, base)
-    if isinstance(ground, (Interval, Box)):
-        ivs = ground.intervals if isinstance(ground, Box) else [(ground.lo, ground.hi)]
-        if any(lo > 0 or hi < 0 for lo, hi in ivs):
+    if isinstance(ground, Box):
+        if any(lo > 0 or hi < 0 for lo, hi in ground.intervals):
             return None
-        keep = [(lo, hi) for lo, hi in ivs if lo < 0 < hi]
-        return box(keep) if keep else _ZERO
+        keep = tuple((lo, hi) for lo, hi in ground.intervals if lo < 0 < hi)
+        return Box(keep) if keep else _ZERO
     if isinstance(ground, Explicit):
         points = [e.coords for e in ground.elements]
         while points[0]:
@@ -268,11 +262,14 @@ def _half_widths(ground: Box | Explicit) -> list[int]:
     return [max(abs(e.coords[c]) for e in ground.elements) for c in range(ground.dim)]
 
 
-def _line_values(ground: GroundSet) -> list[int] | None:
-    """The values of a one-dimensional explicit set, else None."""
-    if isinstance(ground, Explicit) and ground.dim == 1:
-        return [e.coords[0] for e in ground.elements]
-    return None
+def _line_values(ground: Box | Explicit):
+    """The values of a one-dimensional set, in increasing order, else None."""
+    if ground.dim != 1:
+        return None
+    if isinstance(ground, Box):
+        lo, hi = ground.intervals[0]
+        return range(lo, hi + 1)
+    return [e.coords[0] for e in ground.elements]
 
 
 def length_bound(ground: GroundSet) -> int:
@@ -295,13 +292,9 @@ def _structural(ground: GroundSet) -> int:
         return group_davenport(ground.group).upper * _structural(ground.base)
     if ground == _ZERO:
         return 1
-    if isinstance(ground, Interval):
-        return ground.hi - ground.lo
     if (vals := _line_values(ground)) is not None:
-        return diam(vals)
-    if isinstance(ground, (Box, Explicit)):
-        return box_upper(_half_widths(ground))
-    raise ValidationError(f"unknown ground set {ground!r}")
+        return vals[-1] - vals[0]  # the diameter
+    return box_upper(_half_widths(ground))
 
 
 def ground_bounds(ground: GroundSet) -> BoundReport:
@@ -316,8 +309,9 @@ def ground_bounds(ground: GroundSet) -> BoundReport:
     if ground == _ZERO:
         return BoundReport(1, 1, True, ("zero-only-atom",))
     bound = _structural(ground)
-    if isinstance(ground, Interval):
-        return interval_davenport(-ground.lo, ground.hi)
+    if isinstance(ground, Box) and ground.dim == 1:
+        (lo, hi), = ground.intervals
+        return interval_davenport(-lo, hi)
     shape = _symmetric_cube_shape(ground)
     if shape is not None:
         return hypercube_bounds(*shape)

@@ -23,11 +23,11 @@ from . import inverse as _inverse
 from . import reorder as _reorder
 from . import search as _search
 from .core import (
+    Box,
     ConsistencyError,
     GroundSet,
     GroupProduct,
     GuardExceededError,
-    Interval,
     OverflowGuardError,
     ParseError,
     Sequence,
@@ -185,8 +185,8 @@ def _cmd_reorder(spec: JobSpec):
         else:
             seed = [0]
         ordering = _reorder.nyctalopic_extend(s, seed)
-        if ground is not None and isinstance(ground, Interval):
-            lo, hi = ground.lo, ground.hi
+        if isinstance(ground, Box):  # it holds the 1-D sequence, so it has one axis
+            (lo, hi), = ground.intervals
         else:
             lo, hi = min(flat), max(flat)
         report = _reorder.containment_check(s, ordering, lo, hi)

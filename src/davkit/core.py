@@ -2,19 +2,21 @@
 
 The objects here are deliberately small and immutable:
 
-  * an element of Z^d is an integer coordinate tuple, ordered
-    lexicographically (the canonical order used everywhere);
   * a finite abelian group is described by its invariant factors
     n_1 | n_2 | ... | n_r; its elements are residue tuples added
     componentwise mod n_i;
-  * a mixed element pairs a group residue tuple with a lattice point,
-    for sets of the form G x X;
+  * an element is an integer coordinate tuple, a point of Z^d; on sets
+    of the form G x X it also carries the group and a residue tuple.
+    Elements are ordered by (residues, coordinates), lexicographically
+    (the canonical order used everywhere);
   * a sequence is an *unordered* multiset, stored as a sorted
     (element, multiplicity) table, so two equal multisets are equal
     Python objects regardless of construction order;
-  * a ground set is a finite description (interval, box, explicit set,
-    or group x set product) that can be enumerated in canonical order,
-    subject to a cardinality guard.
+  * a ground set is a finite description (a box of d >= 1 axes, an
+    explicit set of lattice points, or a group x set product) that can
+    be enumerated in canonical order, subject to a cardinality guard.
+    ``Interval(lo, hi)`` builds the one-axis box and
+    ``MixedElement(group, residues, point)`` an element of G x Z^d.
 
 Coordinates are guarded to the signed 64-bit window: anything outside it
 raises OverflowGuardError instead of silently growing, because the search
@@ -97,58 +99,6 @@ def check_i64(value: int, context: str = "value") -> int:
 
 # ---------------------------------------------------------------------------
 # elements
-
-
-@total_ordering
-@dataclass(frozen=True)
-class Element:
-    """A point of Z^d; the atomic symbol of a sequence."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.coords, tuple):
-            object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) < 1:
-            raise ValidationError("an element needs at least one coordinate")
-        for c in self.coords:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValidationError(f"non-integer coordinate {c!r}")
-            check_i64(c, "coordinate")
-
-    @staticmethod
-    def of(value: Union["Element", int, Iterable[int]]) -> "Element":
-        """Coerce an int (d=1) or coordinate iterable into an Element."""
-        if isinstance(value, Element):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return Element((value,))
-        return Element(tuple(value))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def neg(self) -> "Element":
-        return Element(tuple(-c for c in self.coords))
-
-    def __lt__(self, other: "Element") -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValidationError(
-                f"cannot compare elements of dimension {self.dim} and {other.dim}"
-            )
-        return self.coords < other.coords
-
-    def __str__(self) -> str:
-        if self.dim == 1:
-            return str(self.coords[0])
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
 @dataclass(frozen=True)
@@ -234,14 +184,31 @@ class GroupSpec:
 
 @total_ordering
 @dataclass(frozen=True)
-class MixedElement:
-    """An element of G x Z^d: a residue tuple paired with a lattice point."""
+class Element:
+    """The atomic symbol of a sequence: a point of Z^d, or of G x Z^d.
 
-    group: GroupSpec
-    group_part: tuple[int, ...]
-    lattice_part: Element
+    ``coords`` is the lattice point.  On G x Z^d, ``group`` is G and
+    ``group_part`` the residue tuple; on Z^d they are None and ().
+    Elements are ordered by (group_part, coords).
+    """
+
+    coords: tuple[int, ...]
+    group: GroupSpec | None = None
+    group_part: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.coords, tuple):
+            object.__setattr__(self, "coords", tuple(self.coords))
+        if len(self.coords) < 1:
+            raise ValidationError("an element needs at least one coordinate")
+        for c in self.coords:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ValidationError(f"non-integer coordinate {c!r}")
+            check_i64(c, "coordinate")
+        if self.group is None:
+            if self.group_part != ():
+                raise ValidationError("a residue tuple needs a group")
+            return
         if not isinstance(self.group_part, tuple):
             object.__setattr__(self, "group_part", tuple(self.group_part))
         if len(self.group_part) != self.group.rank:
@@ -252,40 +219,49 @@ class MixedElement:
             if not isinstance(r, int) or not 0 <= r < n:
                 raise ValidationError(f"residue {r!r} outside [0, {n})")
 
+    @staticmethod
+    def of(value: Union["Element", int, Iterable[int]]) -> "Element":
+        """Coerce an int (d=1) or coordinate iterable into an Element."""
+        if isinstance(value, Element):
+            return value
+        if isinstance(value, int) and not isinstance(value, bool):
+            return Element((value,))
+        return Element(tuple(value))
+
     @property
     def dim(self) -> int:
-        return self.lattice_part.dim
+        return len(self.coords)
+
+    @property
+    def lattice_part(self) -> "Element":
+        """The lattice point, as an element of Z^d."""
+        return self if self.group is None else Element(self.coords)
 
     @property
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.group_part) and self.lattice_part.is_zero
+        return not any(self.coords) and not any(self.group_part)
 
-    def neg(self) -> "MixedElement":
-        return MixedElement(self.group, self.group.neg(self.group_part), self.lattice_part.neg())
+    def neg(self) -> "Element":
+        group_part = self.group.neg(self.group_part) if self.group is not None else ()
+        return Element(tuple(-c for c in self.coords), self.group, group_part)
 
-    def __lt__(self, other: "MixedElement") -> bool:
-        if not isinstance(other, MixedElement):
+    def __lt__(self, other: "Element") -> bool:
+        if not isinstance(other, Element):
             return NotImplemented
         if self.group != other.group or self.dim != other.dim:
-            raise ValidationError("cannot compare mixed elements over different structures")
-        return (self.group_part, self.lattice_part.coords) < (
-            other.group_part,
-            other.lattice_part.coords,
-        )
+            raise ValidationError(f"cannot compare elements {self} and {other}")
+        return (self.group_part, self.coords) < (other.group_part, other.coords)
 
     def __str__(self) -> str:
-        g = ",".join(str(r) for r in self.group_part)
-        v = ",".join(str(c) for c in self.lattice_part.coords)
-        return f"({g}|{v})"
+        v = ",".join(str(c) for c in self.coords)
+        if self.group is not None:
+            return "(" + ",".join(str(r) for r in self.group_part) + f"|{v})"
+        return v if self.dim == 1 else f"({v})"
 
 
-AnyElement = Union[Element, MixedElement]
-
-
-def _sort_key(e: AnyElement):
-    if isinstance(e, MixedElement):
-        return (e.group_part, e.lattice_part.coords)
-    return e.coords
+def MixedElement(group: GroupSpec, residues: Iterable[int], point: Element) -> Element:
+    """The element (residues | point) of G x Z^d."""
+    return Element(point.coords, group, tuple(residues))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +277,7 @@ class Sequence:
     equal iff they are equal as multisets.
     """
 
-    entries: tuple[tuple[AnyElement, int], ...]
+    entries: tuple[tuple[Element, int], ...]
 
     def __post_init__(self):
         prev = None
@@ -309,13 +285,11 @@ class Sequence:
             if not isinstance(m, int) or m < 1:
                 raise ValidationError(f"multiplicity {m!r} must be a positive integer")
             if prev is not None:
-                if type(e) is not type(prev) or (
-                    isinstance(e, MixedElement) and e.group != prev.group
-                ):
+                if e.group != prev.group:
                     raise ValidationError("mixed element kinds in one sequence")
                 if e.dim != prev.dim:
                     raise ValidationError("mixed dimensions in one sequence")
-                if not _sort_key(prev) < _sort_key(e):
+                if not (prev.group_part, prev.coords) < (e.group_part, e.coords):
                     raise ValidationError("entries not in strictly increasing canonical order")
             prev = e
 
@@ -323,20 +297,15 @@ class Sequence:
     def from_pairs(cls, pairs) -> "Sequence":
         """Build from (element, multiplicity) pairs; merges duplicates,
         drops zero multiplicities, coerces ints/tuples to elements."""
-        merged: dict[AnyElement, int] = {}
-        kind = None
+        merged: dict[Element, int] = {}
         for raw, m in pairs:
             if not isinstance(m, int) or m < 0:
                 raise ValidationError(f"multiplicity {m!r} must be a non-negative integer")
             if m == 0:
                 continue
-            e = raw if isinstance(raw, MixedElement) else Element.of(raw)
-            if kind is None:
-                kind = type(e)
-            elif type(e) is not kind:
-                raise ValidationError("mixed element kinds in one sequence")
+            e = Element.of(raw)
             merged[e] = merged.get(e, 0) + m
-        entries = tuple(sorted(merged.items(), key=lambda em: _sort_key(em[0])))
+        entries = tuple(sorted(merged.items(), key=lambda em: (em[0].group_part, em[0].coords)))
         return cls(entries)
 
     @classmethod
@@ -348,7 +317,7 @@ class Sequence:
         return sum(m for _, m in self.entries)
 
     @cached_property
-    def total(self) -> AnyElement:
+    def total(self) -> Element:
         """The componentwise sum of the multiset (residues reduced mod n_i)."""
         if not self.entries:
             raise ValidationError("empty sequence has no sum")
@@ -356,17 +325,15 @@ class Sequence:
         d = first.dim
         acc = [0] * d
         for e, m in self.entries:
-            lat = e.lattice_part.coords if isinstance(e, MixedElement) else e.coords
             for i in range(d):
-                acc[i] = check_i64(acc[i] + m * lat[i], "sequence sum")
-        point = Element(tuple(acc))
-        if isinstance(first, MixedElement):
-            g = first.group
+                acc[i] = check_i64(acc[i] + m * e.coords[i], "sequence sum")
+        g = first.group
+        res = ()
+        if g is not None:
             res = g.identity
             for e, m in self.entries:
                 res = g.add(res, g.scale(e.group_part, m))
-            return MixedElement(g, res, point)
-        return point
+        return Element(tuple(acc), g, res)
 
     @property
     def dim(self) -> int:
@@ -376,23 +343,23 @@ class Sequence:
 
     @property
     def is_mixed(self) -> bool:
-        return bool(self.entries) and isinstance(self.entries[0][0], MixedElement)
+        return bool(self.entries) and self.entries[0][0].group is not None
 
     @property
     def group(self) -> GroupSpec | None:
-        return self.entries[0][0].group if self.is_mixed else None
+        return self.entries[0][0].group if self.entries else None
 
-    def support(self) -> tuple[AnyElement, ...]:
+    def support(self) -> tuple[Element, ...]:
         return tuple(e for e, _ in self.entries)
 
     def multiplicity(self, element) -> int:
-        e = element if isinstance(element, MixedElement) else Element.of(element)
+        e = Element.of(element)
         for cand, m in self.entries:
             if cand == e:
                 return m
         return 0
 
-    def flatten(self) -> list[AnyElement]:
+    def flatten(self) -> list[Element]:
         """Elements expanded by multiplicity, canonical order."""
         out = []
         for e, m in self.entries:
@@ -413,7 +380,7 @@ class Sequence:
         parts = []
         for e, m in self.entries:
             text = str(e)
-            if isinstance(e, Element) and e.dim == 1 and e.coords[0] < 0:
+            if e.group is None and e.dim == 1 and e.coords[0] < 0:
                 text = f"({text})"
             parts.append(text if m == 1 else f"{text}^{m}")
         return "*".join(parts)
@@ -440,33 +407,16 @@ class GroundSet:
 
 
 @dataclass(frozen=True)
-class Interval(GroundSet):
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        check_i64(self.lo, "interval bound")
-        check_i64(self.hi, "interval bound")
-        if self.lo > self.hi:
-            raise ValidationError(f"interval [{self.lo},{self.hi}] has lo > hi")
-
-    def cardinality(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
 class Box(GroundSet):
+    """The product of the integer intervals [lo, hi], one per axis."""
+
     intervals: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not isinstance(self.intervals, tuple):
             object.__setattr__(self, "intervals", tuple(tuple(iv) for iv in self.intervals))
-        if len(self.intervals) < 2:
-            raise ValidationError("a box needs at least two axes; use Interval for d=1")
+        if len(self.intervals) < 1:
+            raise ValidationError("a box needs at least one axis")
         for lo, hi in self.intervals:
             check_i64(lo, "box bound")
             check_i64(hi, "box bound")
@@ -481,12 +431,9 @@ class Box(GroundSet):
         return len(self.intervals)
 
 
-def box(intervals) -> GroundSet:
-    """Factory normalising a one-axis box to an Interval."""
-    ivs = [tuple(iv) for iv in intervals]
-    if len(ivs) == 1:
-        return Interval(ivs[0][0], ivs[0][1])
-    return Box(tuple(ivs))
+def Interval(lo: int, hi: int) -> Box:
+    """The interval [lo, hi]: a box with one axis."""
+    return Box(((lo, hi),))
 
 
 @dataclass(frozen=True)
@@ -494,9 +441,12 @@ class Explicit(GroundSet):
     elements: tuple[Element, ...]
 
     def __post_init__(self):
-        elems = tuple(sorted((Element.of(e) for e in self.elements), key=_sort_key))
+        elems = tuple(sorted((Element.of(e) for e in self.elements), key=lambda e: e.coords))
         if not elems:
             raise ValidationError("an explicit set must be nonempty")
+        for e in elems:
+            if e.group is not None:
+                raise ValidationError(f"explicit sets hold lattice points; {e} has a group part")
         d = elems[0].dim
         for a, b in itertools.pairwise(elems):
             if b.dim != d:
@@ -530,7 +480,7 @@ class GroupProduct(GroundSet):
         return self.base.dim
 
 
-def enumerate_elements(ground: GroundSet) -> list[AnyElement]:
+def enumerate_elements(ground: GroundSet) -> list[Element]:
     """All elements of a ground set in canonical order, guard-checked.
 
     Raises CardinalityGuardError (reporting the exact cardinality) instead
@@ -540,8 +490,6 @@ def enumerate_elements(ground: GroundSet) -> list[AnyElement]:
     card = ground.cardinality()
     if card > guard:
         raise CardinalityGuardError(card, guard)
-    if isinstance(ground, Interval):
-        return [Element((v,)) for v in range(ground.lo, ground.hi + 1)]
     if isinstance(ground, Box):
         ranges = [range(lo, hi + 1) for lo, hi in ground.intervals]
         return [Element(t) for t in itertools.product(*ranges)]
@@ -550,30 +498,24 @@ def enumerate_elements(ground: GroundSet) -> list[AnyElement]:
     if isinstance(ground, GroupProduct):
         base = enumerate_elements(ground.base)
         return [
-            MixedElement(ground.group, res, e)
+            Element(e.coords, ground.group, res)
             for res in ground.group.elements()
             for e in base
         ]
     raise ValidationError(f"unknown ground set {ground!r}")
 
 
-def contains_element(ground: GroundSet, e: AnyElement) -> bool:
-    if isinstance(ground, Interval):
-        return isinstance(e, Element) and e.dim == 1 and ground.lo <= e.coords[0] <= ground.hi
+def contains_element(ground: GroundSet, e: Element) -> bool:
     if isinstance(ground, Box):
         return (
-            isinstance(e, Element)
+            e.group is None
             and e.dim == ground.dim
             and all(lo <= c <= hi for c, (lo, hi) in zip(e.coords, ground.intervals))
         )
     if isinstance(ground, Explicit):
-        return isinstance(e, Element) and e in ground.elements
+        return e in ground.elements
     if isinstance(ground, GroupProduct):
-        return (
-            isinstance(e, MixedElement)
-            and e.group == ground.group
-            and contains_element(ground.base, e.lattice_part)
-        )
+        return e.group == ground.group and contains_element(ground.base, e.lattice_part)
     return False
 
 
@@ -625,7 +567,8 @@ def _parse_explicit(chunk: str, pos: int) -> Explicit:
 
 def _group_prefix(parts: list[tuple[str, int]]) -> tuple[GroupSpec, int]:
     """The group named by the leading ``Cn`` chunks of ``parts``, and
-    their number (0 for none: the trivial group)."""
+    their number (0 for none: the trivial group).  ``C1`` is the trivial
+    group, so it adds no factor."""
     factors = []
     for chunk, _ in parts:
         m = _GROUP_RE.fullmatch(chunk)
@@ -633,7 +576,7 @@ def _group_prefix(parts: list[tuple[str, int]]) -> tuple[GroupSpec, int]:
             break
         factors.append(int(m.group(1)))
     try:
-        return GroupSpec(tuple(factors)), len(factors)
+        return GroupSpec(tuple(n for n in factors if n != 1)), len(factors)
     except ValidationError as exc:
         raise ParseError(str(exc), 0) from None
 
@@ -687,24 +630,21 @@ def parse_ground_set(text: str) -> GroundSet:
                 raise ParseError(f"interval [{lo},{hi}] has lo > hi", at)
             axes.extend([(lo, hi)] * power)
 
-    base: GroundSet = explicit if explicit is not None else box(axes)
+    base: GroundSet = explicit if explicit is not None else Box(tuple(axes))
     return GroupProduct(group, base) if idx else base
 
 
 def emit_ground_set(ground: GroundSet) -> str:
     """Inverse of parse_ground_set on canonical forms."""
-    if isinstance(ground, Interval):
-        return f"[{ground.lo},{ground.hi}]"
     if isinstance(ground, Box):
         ivs = ground.intervals
-        if all(iv == ivs[0] for iv in ivs):
+        if len(ivs) >= 2 and all(iv == ivs[0] for iv in ivs):
             return f"[{ivs[0][0]},{ivs[0][1]}]^{len(ivs)}"
         return "x".join(f"[{lo},{hi}]" for lo, hi in ivs)
     if isinstance(ground, Explicit):
         return "{" + ",".join(str(e) for e in ground.elements) + "}"
     if isinstance(ground, GroupProduct):
-        prefix = "x".join(f"C{n}" for n in ground.group.factors) or "C1"
-        return f"{prefix}x{emit_ground_set(ground.base)}"
+        return f"{ground.group}x{emit_ground_set(ground.base)}"
     raise ValidationError(f"unknown ground set {ground!r}")
 
 
@@ -712,9 +652,9 @@ def emit_ground_set(ground: GroundSet) -> str:
 # JSON output
 
 
-def element_to_json(e: AnyElement):
-    if isinstance(e, MixedElement):
-        return {"group": list(e.group_part), "coords": list(e.lattice_part.coords)}
+def element_to_json(e: Element):
+    if e.group is not None:
+        return {"group": list(e.group_part), "coords": list(e.coords)}
     return list(e.coords)
 
 
@@ -739,7 +679,7 @@ def _parse_ints(text: str, whole: str, pos: int) -> tuple[int, ...]:
         raise ParseError(f"bad element {whole!r}", pos) from None
 
 
-def _parse_element(text: str, pos: int, group: GroupSpec | None) -> AnyElement:
+def _parse_element(text: str, pos: int, group: GroupSpec | None) -> Element:
     if text.startswith("("):
         if not text.endswith(")"):
             raise ParseError("unterminated element", pos)
@@ -756,7 +696,7 @@ def _parse_element(text: str, pos: int, group: GroupSpec | None) -> AnyElement:
                 )
             coords = _parse_ints(vtext, text, pos)
             residues = tuple(r % n for r, n in zip(residues, group.factors))
-            return MixedElement(group, residues, Element(coords))
+            return Element(coords, group, residues)
         return Element(_parse_ints(body, text, pos))
     try:
         return Element((int(text),))

@@ -34,7 +34,7 @@ a nonempty zero-sum sub-multiset of P.
 
 One loop serves every ground set: in C_n1 x ... x C_nr x X each residue
 coordinate is one more axis after the d lattice axes, and a lattice set
-(an interval, a box or an explicit set) is the case r = 0.  Element e_j
+(a box or an explicit set) is the case r = 0.  Element e_j
 has residues h_ij and the lattice delta lambda_j, the sum of its lattice
 coordinates times their strides, and delta_j = lambda_j + sum_i h_ij*S_i,
 S_i the stride of residue digit i.  Lattice axis d - 1 is the stride-1
@@ -78,9 +78,8 @@ one when L + delta_start < 0) and one AND against a precomputed int
 holding bit delta_j - delta_0 for each element (``_Space.window``).  The
 loop visits only the clear bits, low to high, which is canonical order.
 The one child that may close P, e_j = -t, is killed too (t is a
-sub-sum); it is looked up by the packed total (``closing``, keyed by
-c - packed(e_j) for each closed total c, a key that belongs to one
-(c, j) only) and visited in its place.  Each killed child still counts
+sub-sum); it is looked up by the packed total (``closing``) and visited
+in its place.  Each killed child still counts
 as one prune, added as the gap between consecutive visited children and
 the tail after the last, so a search that stops early counts exactly the
 children it passed.
@@ -99,14 +98,23 @@ t_c >= -T*A_c.  H + T*sum_c B_c << s_c - x tests t_c <= T*B_c alike.
 
 Residue axis i is a field of x too, holding the unreduced residue sum
 r_i in [0, rmax_i], rmax_i = depth*(n_i - 1), in (depth*rmax_i).bit_length()
-bits.  P is a closure iff x is in ``closed``: lattice part 0 and every r_i
-a multiple of n_i ({0} for a box).  In the rows a residue field moves up
-by 0 and down by rmax_i, so the test reads 0 <= r_i <= T*rmax_i: always
-true for T >= 1, and at T = 0 only for r_i = 0.  The T = 0 row therefore
-passes only x == 0, which is a closure, and cuts every other child at the
+bits.  P is a closure iff x is a zero sum: lattice part 0 and every r_i
+a multiple of n_i.  In the rows a residue field moves up by 0 and down
+by rmax_i, so the test reads 0 <= r_i <= T*rmax_i: always true for
+T >= 1, and at T = 0 only for r_i = 0.  The T = 0 row therefore passes
+only x == 0, which is a closure, and cuts every other child at the
 depth: the depth needs no test of its own.  With both tables precomputed
 per (T, j), every node takes the per-axis decisions, hence the node,
 prune and closure counts, of separate comparisons.
+
+Child j closes a node of total x iff x, with each r_i reduced mod
+n_i, is the packing of -e_j with its residues reduced.  ``closing``
+starts with these keys, one per element, and stores the answer for any
+other total on its first use.  To reduce x it first adds the guard bit
+of every lattice field, so that a negative lattice field borrows nothing
+from the residue fields above it, and then reads each residue field
+from those bits.  On a lattice set there is nothing to reduce, and a
+total that no element closes is stored as None.
 
 In d >= 2 the guarded total carries, after the d axes, one more field per
 linear functional u = e_a + e_b and u = e_a - e_b for each pair of
@@ -116,9 +124,9 @@ multiset of at most T elements of index >= j moves u.t by an amount in
 [-T*max(0, -min u.e), T*max(0, max u.e)], so a total with u.t outside
 [-T*max(0, max u.e), T*max(0, -min u.e)] cannot return to zero.  Field u
 is sized from depth*max|u.e| like a lattice axis.  A zero lattice total
-has every such field 0, so ``closed`` still means a zero sum.
+has every such field 0, so a closure's total is still a zero sum.
 
-On a lattice set (an interval, a box or an explicit set) each node has a
+On a lattice set (a box or an explicit set) each node has a
 second row pair, taken over the elements that P leaves alive instead of
 a suffix.  Let e be an element with -e = sum(S) for some S in P, that is,
 one whose kill bit is set; the empty S kills e = 0.  Then e never
@@ -143,7 +151,7 @@ the same; the node and prune counts drop.  A G x X search keeps only
 the suffix rows, decided once per search, so a product's child costs no
 extra big-integer operation.
 
-On a one-dimensional lattice set X (an interval or a 1-D explicit set;
+On a one-dimensional lattice set X (a one-axis box or a 1-D explicit set;
 never a group product) the search also applies Lambert's sign-count
 bound: an atom over X has at most m = max(0, -min X) positive and at
 most M = max(0, max X) negative terms.  Proof: order the atom so that
@@ -206,7 +214,6 @@ from .core import (
     Element,
     Explicit,
     GroundSet,
-    MixedElement,
     Sequence,
     ValidationError,
     enumerate_elements,
@@ -264,6 +271,29 @@ class _Rows(dict):
         return row
 
 
+class _Closing(dict):
+    """``self[x]`` is the child j that closes a node of guarded total x
+    (e_j = -x), or None.  It starts with one key per element, the total
+    -e_j with its residues reduced, and stores the answer for any other
+    total on first use (see the module docstring)."""
+
+    def __init__(self, keys: dict[int, int], bias: int, base: int, residues):
+        super().__init__(keys)
+        # ``bias`` sets the guard bit of every lattice field, so none borrows
+        # from the residue fields above bit ``base``; ``residues`` holds
+        # (shift above base, mask, n_i) per residue field
+        self.bias, self.base, self.residues = bias, base, residues
+
+    def __missing__(self, x: int) -> int | None:
+        high = (x + self.bias) >> self.base
+        cut = 0  # each residue sum minus its reduction mod n_i
+        for s, mask, n in self.residues:
+            r = (high >> s) & mask
+            cut += (r - r % n) << s
+        j = self[x] = self.get(x - (cut << self.base)) if cut else None
+        return j
+
+
 class _Space:
     """Element tables, bit packings, and closability tables for one search.
 
@@ -274,14 +304,9 @@ class _Space:
     def __init__(self, ground: GroundSet, depth_cap: int):
         elems = enumerate_elements(ground)
         self.elems = elems
-        first = elems[0]
-        if isinstance(first, MixedElement):
-            moduli = first.group.factors
-            coords = [e.lattice_part.coords + e.group_part for e in elems]
-        else:
-            moduli = ()
-            coords = [e.coords for e in elems]
-        d = len(coords[0]) - len(moduli)
+        moduli = elems[0].group.factors if elems[0].group is not None else ()
+        coords = [e.coords + e.group_part for e in elems]
+        d = ground.dim
         self.d = d
         self.pairs = list(itertools.combinations(range(d), 2))
         # |sum_c| <= reach[c] for every sub-multiset of <= depth_cap elements
@@ -335,13 +360,16 @@ class _Space:
         self.shifts = shifts
         self.guards = sum(1 << (s + w) for s, w in zip(shifts, widths))
         self.packed = [self._put(u) for u in fields]
-        # the zero-sum totals: lattice sums 0, residue sums multiples of n_i;
-        # ``closing`` maps a total to the one child that closes it
-        self.closed = frozenset(
-            self.pack([0] * d + list(res))
-            for res in itertools.product(*(range(0, m + 1, n) for n, m in zip(moduli, rmax)))
+        # ``closing`` maps a total to the one child that closes it: one key
+        # per element j, the total -e_j with its residues reduced
+        negated = [[-t for t in v[:d]] + [-h % n for h, n in zip(v[d:], moduli)] for v in coords]
+        base = sum(w + 1 for w in widths[:nf])
+        self.closing = _Closing(
+            {self.pack(v): j for j, v in enumerate(negated)},
+            sum(1 << (s + w) for s, w in zip(shifts[:nf], widths)),
+            base,
+            [(s - base, (1 << w) - 1, n) for s, w, n in zip(shifts[nf:], widths[nf:], moduli)],
         )
-        self.closing = {c - p: j for j, p in enumerate(self.packed) for c in self.closed}
         # the masks of ``moves``: for each direction (up, then down) and
         # lattice functional f, a pair (v << shifts[f], mask) for each v > 0
         # that f moves that way, v descending, mask holding bit
@@ -512,7 +540,7 @@ def _search_sequential(
             wr = H + T * rows[1]
         if stop < k:
             bits &= (1 << (deltas[stop] - d0)) - 1
-        jc = closing.get(x)  # the one child that closes P: e_j = -t
+        jc = closing[x]  # the one child that closes P: e_j = -t
         if jc is not None and start <= jc < stop:
             bits |= 1 << (deltas[jc] - d0)
         last = start - 1

@@ -43,11 +43,9 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import (
-    AnyElement,
     DEFAULT_SCAN_CAP,
     Element,
     GuardExceededError,
-    MixedElement,
     Sequence,
     ValidationError,
     resolve_guard,
@@ -73,29 +71,17 @@ class SubsumWitness:
 def _sum_ops(s: Sequence):
     """(zero_key, step) for the sum domain of a sequence.
 
-    Keys are plain ints for d=1, coordinate tuples for d>=2, and
-    residue+coordinate tuples (residues reduced mod n_i) for mixed
-    sequences, so one scan serves every ground-set kind.
+    Keys are coordinate tuples followed by the residues reduced mod n_i
+    (none on Z^d), so one scan serves every ground-set kind.
     """
-    first = s.entries[0][0]
-    if isinstance(first, MixedElement):
-        factors = first.group.factors
-        rank = len(factors)
+    moduli = s.group.factors if s.is_mixed else ()
+    d = s.dim
 
-        def step(t, e: MixedElement, c: int):
-            res = tuple(
-                (t[i] + c * e.group_part[i]) % factors[i] for i in range(rank)
-            )
-            lat = tuple(
-                t[rank + j] + c * e.lattice_part.coords[j] for j in range(e.dim)
-            )
-            return res + lat
+    def step(t, e: Element, c: int):
+        lat = tuple(x + c * v for x, v in zip(t, e.coords))
+        return lat + tuple((x + c * h) % n for x, h, n in zip(t[d:], e.group_part, moduli))
 
-        return (0,) * (rank + first.dim), step
-    if first.dim == 1:
-        return 0, lambda t, e, c: t + c * e.coords[0]
-    d = first.dim
-    return (0,) * d, lambda t, e, c: tuple(t[i] + c * e.coords[i] for i in range(d))
+    return (0,) * (d + len(moduli)), step
 
 
 def is_zero_sum(s: Sequence) -> bool:
@@ -117,14 +103,9 @@ class _Box:
             # complementary witness using none of them, so this cap cannot
             # lose solutions.
             bounds[-1] -= 1
-        first = entries[0][0]
-        if isinstance(first, MixedElement):
-            moduli = first.group.factors
-            vecs = [e.lattice_part.coords + e.group_part for e, _ in entries]
-        else:
-            moduli = ()
-            vecs = [e.coords for e, _ in entries]
-        d = len(vecs[0]) - len(moduli)
+        moduli = s.group.factors if s.is_mixed else ()
+        vecs = [e.coords + e.group_part for e, _ in entries]
+        d = s.dim
         self.bounds, self.vecs, self.moduli, self.d = bounds, vecs, moduli, d
         self.lo = [sum(b * min(0, v[c]) for v, b in zip(vecs, bounds)) for c in range(d)]
         self.hi = [sum(b * max(0, v[c]) for v, b in zip(vecs, bounds)) for c in range(d)]
@@ -282,7 +263,7 @@ def is_minimal_scan(s: Sequence) -> bool:
     return s.total.is_zero and proper_zero_subsum_scan(s) is None
 
 
-def atoms_brute(elements: list[AnyElement], max_len: int) -> list[Sequence]:
+def atoms_brute(elements: list[Element], max_len: int) -> list[Sequence]:
     """Every atom over the given alphabet with length <= max_len.
 
     Enumerates all multisets in nondecreasing element order and filters
@@ -291,9 +272,7 @@ def atoms_brute(elements: list[AnyElement], max_len: int) -> list[Sequence]:
     """
     if max_len < 0:
         raise ValidationError("max_len must be >= 0")
-    alphabet = sorted(
-        (e if isinstance(e, MixedElement) else Element.of(e) for e in elements)
-    )
+    alphabet = sorted(Element.of(e) for e in elements)
     for a, b in itertools.pairwise(alphabet):
         if a == b:
             raise ValidationError(f"duplicate element {a} in alphabet")

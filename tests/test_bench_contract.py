@@ -11,12 +11,13 @@ import inspect
 import os
 import sys
 
-from davkit import parse_ground_set
+from davkit import GroupSpec, parse_ground_set, parse_sequence
 from davkit.search import SearchStats, _run_search
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "davbench"))
 
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_every_wrapped_function_resolves():
@@ -36,6 +37,15 @@ def test_run_search_keeps_its_signature_and_five_tuple():
     assert len(result) == 5
     assert isinstance(result[3], list)
     assert isinstance(result[4], SearchStats)
+
+
+def test_plain_reads_what_an_element_has():
+    # workloads.plain reads group_part, lattice_part.coords, coords,
+    # Sequence.is_mixed and group.factors to turn a result into check's form
+    lattice = parse_sequence("2*(-1)^2")
+    assert workloads.plain(lattice) == ([(((), (-1,)), 2), (((), (2,)), 1)], ())
+    mixed = parse_sequence("(0|-2)^3*(1|1)^6", GroupSpec((3,)))  # a longest atom over C3x[-2,2]
+    assert workloads.plain(mixed) == ([(((0,), (-2,)), 3), (((1,), (1,)), 6)], (3,))
 
 
 def test_certificate_imports_nothing_from_the_search():

@@ -65,6 +65,10 @@ class TestGroupSpec:
         g = GroupSpec(())
         assert g.order == 1 and g.exponent == 1 and g.is_cyclic
 
+    def test_c1_names_the_trivial_group(self):
+        # ``davkit bounds --group C1`` reads its group with parse_group
+        assert parse_group("C1") == GroupSpec(())
+
     def test_p_group_detection(self):
         assert GroupSpec((3, 3, 9)).is_p_group
         assert not GroupSpec((2, 4, 12)).is_p_group
@@ -173,7 +177,7 @@ class TestEnumerate:
     def test_group_product(self):
         got = enumerate_elements(parse_ground_set("C2x[-1,1]"))
         assert len(got) == 6
-        assert all(isinstance(e, MixedElement) for e in got)
+        assert all(e.group is not None for e in got)
 
     def test_cardinality_guard_reports_size(self, monkeypatch):
         monkeypatch.setenv("DAVKIT_GUARD", "3")
@@ -233,6 +237,14 @@ class TestParser:
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_ground_set(text)
+
+    def test_explicit_rejects_an_element_with_a_group(self):
+        # G x X is a GroupProduct; an explicit set holds lattice points only
+        mixed = MixedElement(GroupSpec((2,)), (1,), Element((1,)))
+        with pytest.raises(ValidationError):
+            Explicit((mixed,))
+        with pytest.raises(ValidationError):
+            Explicit((Element((0,)), mixed))
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:
@@ -307,7 +319,7 @@ def _ground_sets(draw):
         coords = st.tuples(*([st.integers(-9, 9)] * dim))
         elems = draw(st.sets(coords, min_size=1, max_size=5))
         return Explicit(tuple(Element(c) for c in elems))
-    factors = draw(st.sampled_from([(2,), (3,), (2, 4), (2, 2)]))
+    factors = draw(st.sampled_from([(), (2,), (3,), (2, 4), (2, 2)]))
     lo, hi = draw(_interval_st)
     return GroupProduct(GroupSpec(factors), Interval(lo, hi))
 

@@ -29,7 +29,6 @@ from davkit import (
     parse_ground_set,
 )
 from davkit import search as _search
-from davkit.core import _sort_key
 from davkit.search import _run_search, _Space
 
 from conftest import S
@@ -40,7 +39,7 @@ def explicit(*values) -> Explicit:
 
 
 def _canonical_key(s) -> tuple:
-    return tuple(_sort_key(e) for e in s.flatten())
+    return tuple((e.group_part, e.coords) for e in s.flatten())
 
 
 _parallel_task = _search._parallel_task
@@ -556,8 +555,13 @@ class TestMixedTables:
         residue_sums = itertools.product(*(range(m + 1) for m in rmax))
         for t, r in itertools.product(lattice_totals, list(residue_sums)):
             x = space.pack(t + r)
-            zero_sum = not any(t) and all(ri % n == 0 for ri, n in zip(r, moduli))
-            assert (x in space.closed) == zero_sum, (t, r)
+            # the one element e with t + e = 0 and r + e's residues = 0 mod n_i
+            closes = [
+                j for j, e in enumerate(space.elems)
+                if all(a + b == 0 for a, b in zip(t, e.coords))
+                and all((ri + h) % n == 0 for ri, h, n in zip(r, e.group_part, moduli))
+            ]
+            assert space.closing[x] == (closes[0] if closes else None), (t, r)
             for j in range(len(coords)):
                 for T in range(depth + 1):
                     direct = _direct(coords, j, T, t, functionals)
@@ -642,7 +646,7 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
     e_i != 0 and -e_i not a sub-sum of P), and otherwise extended.  Returns
     what ``_search_sequential`` does, with the counts as a tuple."""
     elems = enumerate_elements(ground)
-    if isinstance(elems[0], MixedElement):
+    if elems[0].group is not None:
         moduli = elems[0].group.factors
         coords = [e.lattice_part.coords + e.group_part for e in elems]
     else:
