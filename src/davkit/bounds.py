@@ -12,19 +12,23 @@ rationals until its floor is certain.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .core import (
+    DEFAULT_BITS_CAP,
     Box,
     Element,
     Explicit,
     GroundSet,
     GroupProduct,
     GroupSpec,
+    GuardExceededError,
     Interval,
     ValidationError,
+    resolve_guard,
 )
 
 
@@ -106,16 +110,21 @@ def box_upper(ms) -> int:
     """Rearrangement bound for a symmetric box with half-widths ms:
     the product over axes of (floor(2 (d + 1/d - 1) m_i) + 1), i.e. the
     lattice-point count of the dilated box every prefix sum can be steered
-    into."""
-    ms = [int(m) for m in ms]
-    d = len(ms)
-    if d < 1 or any(m < 1 for m in ms):
+    into.  GuardExceededError when the factors have more bits together
+    than the guard allows: the bound grows like (2d)^d."""
+    ms = Counter(int(m) for m in ms)
+    d = ms.total()
+    if d < 1 or min(ms) < 1:
         raise ValidationError("box half-widths must be >= 1")
     constant = Fraction(d) + Fraction(1, d) - 1
-    out = 1
-    for m in ms:
-        out *= int(2 * constant * m) + 1
-    return out
+    factors = {m: int(2 * constant * m) + 1 for m in ms}
+    bits = sum(factors[m].bit_length() * c for m, c in ms.items())
+    cap = resolve_guard(DEFAULT_BITS_CAP)
+    if bits > cap:
+        raise GuardExceededError(
+            f"the bound of a {d}-axis box needs up to {bits} bits, above the guard of {cap}"
+        )
+    return math.prod(factors[m] ** c for m, c in ms.items())
 
 
 def square_upper(m1: int, m2: int) -> int:
@@ -135,13 +144,14 @@ def hypercube_bounds(m: int, d: int) -> BoundReport:
         return interval_davenport(m, m)
     if d == 2 and m == 1:
         return BoundReport(4, 4, True, ("unit-square-exact",))
-    lower = (2 * m - 1 + _delta(m)) ** d
     if d == 2:
         upper = square_upper(m, m)
         tags = ("hypercube-construction-lower", "rectangle-reorder-upper")
     else:
+        # first: its guard also covers the smaller lower bound
         upper = box_upper([m] * d)
         tags = ("hypercube-construction-lower", "steinitz-box-upper")
+    lower = (2 * m - 1 + _delta(m)) ** d
     return BoundReport(lower, upper, lower == upper, tags)
 
 

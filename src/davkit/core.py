@@ -40,6 +40,10 @@ I64_MAX = 2**63 - 1
 DEFAULT_ENUM_CAP = 10**6
 #: Default cap on brute-force candidate/selection scans.
 DEFAULT_SCAN_CAP = 10**7
+#: Default cap on the bits of a closed-form bound: an int of at most
+#: 4300 * log2(10) bits has at most 4300 digits, the most that Python
+#: converts to text by default (``sys.get_int_max_str_digits``).
+DEFAULT_BITS_CAP = 14_284
 #: Environment variable overriding every guard (see ``resolve_guard``).
 GUARD_ENV_VAR = "DAVKIT_GUARD"
 
@@ -76,9 +80,10 @@ class CardinalityGuardError(GuardExceededError):
     def __init__(self, cardinality: int, cap: int):
         self.cardinality = cardinality
         self.cap = cap
-        super().__init__(
-            f"ground set has {cardinality} elements, above the guard of {cap}"
-        )
+        # a count of thousands of digits would not even convert to text
+        bits = cardinality.bit_length()
+        size = cardinality if bits <= 64 else f"at least 2^{bits - 1}"
+        super().__init__(f"ground set has {size} elements, above the guard of {cap}")
 
 
 class ConsistencyError(DavkitError):

@@ -186,6 +186,29 @@ child P + e that is not killed is zero-sum free.  So every child of P is
 killed or cut by the rows, and counts as the one prune that skipping it
 would count.
 
+The bound holds for any X that contains the atom's support, the support
+itself included, so a nonzero atom A is at most
+max(0, -min A) + max(0, max A) long (the atom 0 alone has no sign; it is
+met only as the root's closure).  The search applies this per node P
+below the root.  An atom below P contains P, and every element it adds
+comes at or after P's last one, so its minimum is min P.  Its support
+lies in P, the elements P leaves alive and e_jc, the child that closes P
+(see the window rows above; the alive set is read before the ``stop``
+clip).  So every atom below P is at most b = m' + M' long, with
+m' = max(0, -min P) and M' = max(0, the largest alive element, e_jc).
+P's own largest element, its last, needs no term: an alive element or
+e_jc is at least as large, and with neither P has no child.  The node's
+rows, both pairs, then use T' = min(T, b - |P| - 1): no child can still
+add more elements than that.  When T' < 0 no atom lies below P and every
+child is cut, each counting as one prune.  (This never cuts a closure:
+P + e_jc is an atom below P, so b >= |P| + 1.)  The root needs no such
+cut: its b is the diameter of X, at least the depth, except on X = {0},
+where the atom 0 is longer than b = 0.  The cut depends only on the node
+and X, not on the root range, so the counts of the pool's one-root tasks
+add up to those of the sequential run.  It drops only nodes with no atom
+below them, so atom lists, witnesses and closure counts stay the same;
+node and prune counts drop.
+
 Early stop
 ----------
 In 'dav' mode the search depth is the proven length bound (or a smaller
@@ -398,13 +421,14 @@ class _Space:
         # the window rows, over the elements a node leaves alive, serve
         # lattice sets only (see the module docstring)
         self.lattice = not moduli
-        # the sign-count cut (one-dimensional lattice sets only): elems[:kn]
-        # are negative, and an atom has at most max(0, max X) negative
-        # terms; kn = 0 where the cut does not apply
+        # Lambert's cuts serve one-dimensional lattice sets only, where each
+        # element's delta is its value.  The sign count: elems[:kn] are
+        # negative, and an atom has at most max(0, max X) negative terms;
+        # kn = 0 where the cut does not apply
+        self.line = d == 1 and not moduli
         self.signs = (0, 0)
-        if d == 1 and not moduli:
-            values = [v[0] for v in coords]
-            self.signs = (sum(v < 0 for v in values), max(0, values[-1]))
+        if self.line:
+            self.signs = (sum(t < 0 for t in self.deltas), max(0, self.deltas[-1]))
 
     def moves(self, alive: int) -> list[int]:
         """[up, down]: how far the elements whose bits are set in ``alive``
@@ -488,6 +512,7 @@ def _search_sequential(
     dmin = deltas[0]
     kn, most_neg = space.signs
     lattice = space.lattice
+    line = space.line
     windows = {}  # alive elements, laid out like ``window`` -> [up, down]
 
     counts = [0] * k
@@ -508,10 +533,11 @@ def _search_sequential(
             if mode == "dav" and length == depth_cap:
                 raise _DepthReached
 
-    def rec(start: int, depth: int, x: int, n: int, L: int, stop: int = k):
+    def rec(start: int, depth: int, x: int, n: int, L: int, low: int, stop: int = k):
         """``n`` holds the sub-sums of P relative to the base L (see the
         module docstring), and only the children whose kill bit L + delta_j
-        is clear are visited."""
+        is clear are visited.  On a line, ``low`` is max(0, -min P) below
+        the root."""
         nonlocal nodes, prunes, closures
         # the sign-count cut: P is all negative, or the root
         if start < kn and depth >= most_neg:
@@ -522,12 +548,25 @@ def _search_sequential(
             return
         nd = depth + 1
         T = depth_cap - nd
-        cl = CL[T]
-        cr = CR[T]
         d0 = deltas[start]
         bits = window >> (d0 - dmin)  # bit delta_j - d0 per child
         s = L + d0
         bits ^= bits & (n >> s if s >= 0 else n << -s)
+        jc = closing[x]  # the one child that closes P: e_j = -t
+        if line and depth:
+            # Lambert's bound on the atoms below P, from the alive elements,
+            # read before the ``stop`` clip, and e_jc
+            top = d0 + bits.bit_length() - 1 if bits else 0
+            if jc is not None and deltas[jc] > top:
+                top = deltas[jc]
+            reach = low + top if top > 0 else low
+            if reach < nd:
+                prunes += stop - start
+                return
+            if reach - nd < T:  # no min(): this runs at every node
+                T = reach - nd
+        cl = CL[T]
+        cr = CR[T]
         wl = 0
         if lattice:
             # the rows of the elements >= start that P leaves alive, read
@@ -540,14 +579,13 @@ def _search_sequential(
             wr = H + T * rows[1]
         if stop < k:
             bits &= (1 << (deltas[stop] - d0)) - 1
-        jc = closing[x]  # the one child that closes P: e_j = -t
         if jc is not None and start <= jc < stop:
             bits |= 1 << (deltas[jc] - d0)
         last = start - 1
         while bits:
-            low = bits & -bits
-            bits ^= low
-            j = at[d0 + low.bit_length() - 1]
+            low_bit = bits & -bits
+            bits ^= low_bit
+            j = at[d0 + low_bit.bit_length() - 1]
             prunes += j - last - 1  # the killed children since the last one visited
             last = j
             nx = x + packed[j]
@@ -571,13 +609,13 @@ def _search_sequential(
                 for over, w in wraps:  # reduce the residues that reached n_i
                     f = m & over
                     m ^= f ^ (f >> w)
-            rec(j, nd, nx, n << up | m, L + up)
+            rec(j, nd, nx, n << up | m, L + up, low if depth else max(0, -deltas[j]))
             counts[j] -= 1
         prunes += stop - 1 - last
 
     try:
         # the root is the empty multiset: total 0, and only the empty sum
-        rec(lo, 0, 0, 1, 0, k if hi is None else hi)
+        rec(lo, 0, 0, 1, 0, 0, k if hi is None else hi)
     except _DepthReached:
         pass
     finally:

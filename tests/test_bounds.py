@@ -6,6 +6,7 @@ import pytest
 
 from davkit import (
     GroupSpec,
+    GuardExceededError,
     ValidationError,
     box_upper,
     chi,
@@ -77,6 +78,15 @@ class TestBoxBounds:
         assert box_upper([5]) == 11
         assert box_upper([1, 1]) == 16
         assert box_upper([2, 2, 2]) == 1000
+        assert box_upper([2, 1, 2]) == 10 * 5 * 10
+
+    def test_box_upper_guards_its_bits(self, monkeypatch):
+        # each of the 3 factors of [-2,2]^3 is 10, of 4 bits
+        monkeypatch.setenv("DAVKIT_GUARD", "12")
+        assert box_upper([2, 2, 2]) == 1000
+        monkeypatch.setenv("DAVKIT_GUARD", "11")
+        with pytest.raises(GuardExceededError, match="12 bits"):
+            box_upper([2, 2, 2])
 
     def test_square_upper(self):
         assert square_upper(1, 1) == 15

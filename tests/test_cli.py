@@ -263,6 +263,35 @@ class TestErrorsAndSpec:
         code, _, err = run_cli(capsys, "davenport", "[-5,5]")
         assert code == EXIT_GUARD
 
+    @pytest.mark.parametrize("command", ["bounds", "davenport"])
+    @pytest.mark.parametrize("power", [100000, 1000000])
+    def test_huge_box_power_is_a_guard_exit(self, command, power):
+        # the bound of [-1,1]^100000 has about 1.8 million bits, and its
+        # 3^100000 elements some 47,700 digits
+        proc = subprocess.run(
+            [sys.executable, "-m", "davkit", command, f"[-1,1]^{power}", "--no-stats"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_GUARD and proc.stdout == ""
+        assert proc.stderr.startswith("guard:") and "bits" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_huge_cardinality_is_named_as_a_power_of_two(self, capsys):
+        # its bound passes the bits guard; its 3^1000 elements do not
+        code, out, err = run_cli(capsys, "davenport", "[-1,1]^1000", "--no-stats")
+        assert code == EXIT_GUARD and out == ""
+        assert err.startswith("guard: ground set has at least 2^1584 elements")
+
+    def test_every_bound_within_the_bits_guard_prints(self, capsys):
+        # each of the 1190 factors of the bound is 2379, of 12 bits: 14,280
+        # bits in all, within the guard of 14,284, and 4,018 digits
+        code, out, _ = run_cli(capsys, "bounds", "[-1,1]^1190", "--no-stats")
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["upper"] == 2379**1190
+        code, out, err = run_cli(capsys, "bounds", "[-1,1]^1191", "--no-stats")
+        assert code == EXIT_GUARD and out == ""
+        assert err.startswith("guard: the bound of a 1191-axis box needs up to 14292 bits")
+
     def test_emit_spec_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys, "atoms", "[-2,2]", "--length", "3", "--no-stats", "--emit-spec"

@@ -185,6 +185,13 @@ class TestEnumerate:
             enumerate_elements(Interval(-10, 10))
         assert err.value.cardinality == 21
 
+    def test_cardinality_beyond_printable_digits(self):
+        # 3^10000 has 4,772 digits, more than Python converts to text by
+        # default; the message names a power of two below it
+        with pytest.raises(CardinalityGuardError, match=r"at least 2\^15849 elements") as err:
+            enumerate_elements(parse_ground_set("[-1,1]^10000"))
+        assert err.value.cardinality == 3**10000
+
     @pytest.mark.parametrize(
         "text",
         ["[-2,4]", "[-1,1]^2", "{-2,3}", "C2x[-2,2]", "{(1,1),(0,-1)}", "C2xC4x{0}"],

@@ -174,18 +174,26 @@ class TestDavenport:
 class TestEarlyStop:
     """A 'dav' search ends at its first atom as long as the depth."""
 
-    @pytest.mark.parametrize("text,cap", [("C5x[-1,1]", None), ("[-2,3]", None), ("[-2,2]^2", 8)])
+    @pytest.mark.parametrize(
+        "text,cap",
+        [("C5x[-1,1]", None), ("[-2,3]", None), ("[-2,2]^2", 8), ("[-7,7]", None), ("[-6,10]", None)],
+    )
     def test_full_result_independent_of_threads(self, text, cap):
         ground = parse_ground_set(text)
         a = davenport(ground, cap=cap, threads=1)
         b = davenport(ground, cap=cap, threads=2)
-        # these searches stop early: an atom reaches the depth
-        assert a.lower == (cap or length_bound(ground))
+        # the first three stop early, at an atom as long as the depth; the
+        # one-dimensional ones exhaust their trees, which Lambert's local
+        # depth cuts per node
+        assert a.lower == (cap or ground_bounds(ground).lower)
         a.stats.elapsed = b.stats.elapsed = 0.0
         assert a == b
 
     @pytest.mark.parametrize(
-        "text,cap", [("[-3,4]", None), ("C3x[-1,1]", None), ("{-3,-1,2}", None), ("[-1,1]^2", 3)]
+        "text,cap",
+        [("[-3,4]", None), ("C3x[-1,1]", None), ("{-3,-1,2}", None), ("[-1,1]^2", 3),
+         # exhausted trees, cut by the local depth, also below a cap
+         ("[-5,5]", None), ("[-4,6]", None), ("[-5,5]", 6)],
     )
     def test_witness_is_first_longest_atom(self, text, cap):
         # all_atoms never stops early and sorts by (length, canonical key)
@@ -337,7 +345,9 @@ class TestOracleFamily:
 class TestSignCount:
     """Lambert's bound, which the one-dimensional search cuts on: an atom
     over X has at most max(0, -min X) positive and at most max(0, max X)
-    negative terms."""
+    negative terms.  X may be any set that holds the atom's support, the
+    support itself included, which bounds a nonzero atom's length by
+    -min supp(A) + max supp(A)."""
 
     def test_every_brute_atom_obeys_it(self):
         checked = 0
@@ -348,8 +358,11 @@ class TestSignCount:
                 most_pos, most_neg = -combo[0], combo[-1]
                 for atom in atoms_brute(list(combo), length_bound(explicit(*combo))):
                     signs = [e.coords[0] for e in atom.flatten()]
-                    assert sum(v > 0 for v in signs) <= most_pos, (combo, atom)
-                    assert sum(v < 0 for v in signs) <= most_neg, (combo, atom)
+                    low, high = signs[0], signs[-1]  # flatten is sorted
+                    pos, neg = sum(v > 0 for v in signs), sum(v < 0 for v in signs)
+                    assert pos <= most_pos and neg <= most_neg, (combo, atom)
+                    assert pos <= max(0, -low) and neg <= max(0, high), (combo, atom)
+                    assert signs == [0] or atom.length <= high - low, (combo, atom)
                     checked += 1
         assert checked == 642
 
@@ -412,15 +425,15 @@ def test_hunt_chi_gap_smoke():
 class TestTreePinned:
     """(nodes, prunes, closures) at threads=1: the pruning decisions of the
     guarded running total are those of the direct inequalities, the
-    window rows prune lattice sets, and the sign-count cut prunes
-    one-dimensional sets.  A node is a multiset the search extends; the
-    empty root is not counted."""
+    window rows prune lattice sets, and the sign-count cut and Lambert's
+    local depth prune one-dimensional sets.  A node is a multiset the
+    search extends; the empty root is not counted."""
 
     @pytest.mark.parametrize(
         "text,cap,counts",
         [
-            ("[-7,7]", None, (9461, 41955, 560)),
-            ("[-6,10]", None, (12519, 76121, 957)),
+            ("[-7,7]", None, (6800, 28997, 560)),
+            ("[-6,10]", None, (9503, 54171, 957)),
             ("[-1,2]x[-1,1]", None, (1503, 9296, 39)),
             ("[-1,1]^3", 7, (47, 468, 1)),
             ("{(2,1),(-1,0),(0,-1),(-1,1)}", None, (183, 277, 3)),
@@ -439,7 +452,7 @@ class TestTreePinned:
             ("{-7,-3,2,5,6}", None, (12, 4, 1)),
             ("[-1,1]x[0,0]", None, (1, 2, 1)),
             # the zero element, over an exhausted tree
-            ("[-8,8]", None, (35218, 180727, 1165)),
+            ("[-8,8]", None, (24094, 117671, 1165)),
             # negative deltas dominate these trees: such a child keeps its
             # parent's mask base and shifts the mask left
             ("[-1,1]^3", 9, (78, 676, 1)),
@@ -452,7 +465,7 @@ class TestTreePinned:
 
     def test_atoms_of_length_counts(self):
         for text, length, atoms, counts in [
-            ("[-5,5]", 9, 2, (491, 1646, 100)),
+            ("[-5,5]", 9, 2, (442, 1474, 100)),
             ("[-2,2]^2", 8, 644, (21196, 156622, 3577)),
         ]:
             _, _, _, collected, st_ = _run_search(parse_ground_set(text), length, "all")
@@ -643,8 +656,12 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
     else cut by the rows (``_direct`` on the lattice part; at T = 0 every
     child), else, on a lattice set, cut by ``_direct`` over the elements
     that P leaves alive (index i >= the node's start, not the root range's,
-    e_i != 0 and -e_i not a sub-sum of P), and otherwise extended.  Returns
-    what ``_search_sequential`` does, with the counts as a tuple."""
+    e_i != 0 and -e_i not a sub-sum of P), and otherwise extended.  On a
+    1-D lattice set a nonempty P first takes Lambert's bound
+    b = max(0, -min P) + max(0, max of P, the alive elements and the
+    element that closes P): when b < |P| + 1 every child is cut; otherwise
+    the rows and the alive test use T = min(depth - |P| - 1, b - |P| - 1).
+    Returns what ``_search_sequential`` does, with the counts as a tuple."""
     elems = enumerate_elements(ground)
     if elems[0].group is not None:
         moduli = elems[0].group.factors
@@ -659,6 +676,7 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
     window = functools.cache(lambda alive, T, t: not moduli and not _direct(alive, 0, T, t, functionals))
     most_pos, most_neg = max(0, -coords[0][0]), max(0, coords[-1][0])
     signs = d == 1 and not moduli
+    values = [v[0] for v in coords]
     counts = [0] * k
     collected, best, tally = [], [0, None], [0, 0, 0]
 
@@ -681,6 +699,15 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
     def visit(P, start, stop, sums, t):
         neg_count = sum(coords[i][0] < 0 for i in P)
         alive = tuple(lattice[i] for i in range(start, k) if any(coords[i]) and neg(coords[i]) not in sums)
+        T = depth - len(P) - 1
+        if signs and P:
+            closer = [e[0] for e in coords[start:] if not any(add(t, e))]
+            support = [values[i] for i in P] + [a[0] for a in alive] + closer
+            reach = max(0, -values[P[0]]) + max(0, *support)
+            if reach < len(P) + 1:
+                tally[1] += stop - start
+                return
+            T = min(T, reach - len(P) - 1)
         for j in range(start, stop):
             e = coords[j]
             nt = add(t, e)
@@ -697,8 +724,8 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
             elif (
                 not any(e)
                 or neg(e) in sums
-                or not rows(j, depth - len(P) - 1, nt[:d])
-                or window(alive, depth - len(P) - 1, nt[:d])
+                or not rows(j, T, nt[:d])
+                or window(alive, T, nt[:d])
             ):
                 tally[1] += 1
             else:
@@ -857,8 +884,9 @@ class TestProperties:
         # depth 0 means length_bound 0, which cap 1 does not raise
         r = davenport(ground, cap=max(1, depth))
         assert r.lower == max((a.length for a in want), default=0)
-        if r.witness is not None:
-            assert r.witness in want
+        longest = [a for a in want if a.length == r.lower]
+        # the witness is the longest atom with the smallest canonical key
+        assert r.witness == (min(longest, key=_canonical_key) if longest else None)
 
     @settings(max_examples=25, deadline=None)
     @given(_small_grounds)
