@@ -34,12 +34,19 @@ from .core import (
 
 @dataclass(frozen=True)
 class BoundReport:
+    """A proven bracket [lower, upper].  GuardExceededError when upper has
+    more bits than the bits guard allows, so that every bracket within
+    the default guard prints (see ``core.DEFAULT_BITS_CAP``)."""
+
     lower: int
     upper: int
     exact: bool
     provenance: tuple[str, ...]
 
     def __post_init__(self):
+        bits, cap = self.upper.bit_length(), resolve_guard(DEFAULT_BITS_CAP)
+        if bits > cap:
+            raise GuardExceededError(f"a bound of {bits} bits is above the guard of {cap}")
         if self.lower > self.upper:
             raise ValidationError(f"lower {self.lower} exceeds upper {self.upper}")
         if self.exact and self.lower != self.upper:

@@ -220,6 +220,8 @@ def _cmd_reorder(spec: JobSpec):
 
 def _cmd_bounds(spec: JobSpec):
     group_text = spec.parameters.get("group")
+    if group_text and spec.ground:
+        raise ValidationError("bounds takes a ground set or --group, not both")
     if group_text:
         report = _bounds.group_davenport(parse_group(group_text))
         subject = {"group": group_text}

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from math import prod
@@ -36,7 +37,8 @@ from typing import Iterable, Union
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
 
-#: Default cap on the number of ground-set elements materialised at once.
+#: Default cap on the number of ground-set elements materialised at once,
+#: and on the axes of a parsed box.
 DEFAULT_ENUM_CAP = 10**6
 #: Default cap on brute-force candidate/selection scans.
 DEFAULT_SCAN_CAP = 10**7
@@ -429,7 +431,10 @@ class Box(GroundSet):
                 raise ValidationError(f"box axis [{lo},{hi}] has lo > hi")
 
     def cardinality(self) -> int:
-        return prod(hi - lo + 1 for lo, hi in self.intervals)
+        # one power per distinct width: a product taken axis by axis costs
+        # time quadratic in the number of axes
+        widths = Counter(hi - lo + 1 for lo, hi in self.intervals)
+        return prod(w**c for w, c in widths.items())
 
     @property
     def dim(self) -> int:
@@ -575,11 +580,11 @@ def _group_prefix(parts: list[tuple[str, int]]) -> tuple[GroupSpec, int]:
     their number (0 for none: the trivial group).  ``C1`` is the trivial
     group, so it adds no factor."""
     factors = []
-    for chunk, _ in parts:
+    for chunk, pos in parts:
         m = _GROUP_RE.fullmatch(chunk)
         if not m:
             break
-        factors.append(int(m.group(1)))
+        factors.append(_number(m.group(1), "group order", pos))
     try:
         return GroupSpec(tuple(n for n in factors if n != 1)), len(factors)
     except ValidationError as exc:
@@ -627,12 +632,17 @@ def parse_ground_set(text: str) -> GroundSet:
             m = _INTERVAL_RE.fullmatch(chunk)
             if not m:
                 raise ParseError(f"bad set component {chunk!r}", at)
-            lo, hi = int(m.group(1)), int(m.group(2))
-            power = int(m.group(3)) if m.group(3) else 1
+            lo, hi = (_number(t, "interval bound", at) for t in m.group(1, 2))
+            power = _number(m.group(3), "power", at) if m.group(3) else 1
             if power < 1:
                 raise ParseError("power must be >= 1", at)
             if lo > hi:
                 raise ParseError(f"interval [{lo},{hi}] has lo > hi", at)
+            cap = resolve_guard(DEFAULT_ENUM_CAP)
+            if len(axes) + power > cap:
+                raise GuardExceededError(
+                    f"a box of {len(axes) + power} axes is above the guard of {cap}"
+                )
             axes.extend([(lo, hi)] * power)
 
     base: GroundSet = explicit if explicit is not None else Box(tuple(axes))
@@ -677,11 +687,18 @@ def sequence_to_json(s: Sequence) -> dict:
 _TERM_RE = re.compile(r"(?P<elem>.+?)(?:\^(?P<mult>\d+))?$")
 
 
-def _parse_ints(text: str, whole: str, pos: int) -> tuple[int, ...]:
+def _number(text: str, what: str, pos: int) -> int:
+    """The integer ``text`` of the grammar, or ParseError: Python converts
+    at most 4,300 digits (``sys.get_int_max_str_digits``)."""
     try:
-        return tuple(int(c) for c in text.split(","))
+        return int(text)
     except ValueError:
-        raise ParseError(f"bad element {whole!r}", pos) from None
+        shown = repr(text) if len(text) <= 40 else f"of {len(text)} characters"
+        raise ParseError(f"bad {what} {shown}", pos) from None
+
+
+def _parse_ints(text: str, pos: int) -> tuple[int, ...]:
+    return tuple(_number(c, "coordinate", pos) for c in text.split(","))
 
 
 def _parse_element(text: str, pos: int, group: GroupSpec | None) -> Element:
@@ -693,20 +710,17 @@ def _parse_element(text: str, pos: int, group: GroupSpec | None) -> Element:
             if group is None:
                 raise ParseError("mixed element needs a group context", pos)
             gtext, _, vtext = body.partition("|")
-            residues = _parse_ints(gtext, text, pos) if gtext else ()
+            residues = _parse_ints(gtext, pos) if gtext else ()
             if len(residues) != group.rank:
                 raise ParseError(
                     f"element {text!r} has {len(residues)} residues, the group has rank {group.rank}",
                     pos,
                 )
-            coords = _parse_ints(vtext, text, pos)
+            coords = _parse_ints(vtext, pos)
             residues = tuple(r % n for r, n in zip(residues, group.factors))
             return Element(coords, group, residues)
-        return Element(_parse_ints(body, text, pos))
-    try:
-        return Element((int(text),))
-    except ValueError:
-        raise ParseError(f"bad element {text!r}", pos) from None
+        return Element(_parse_ints(body, pos))
+    return Element((_number(text, "element", pos),))
 
 
 def parse_sequence(text: str, group: GroupSpec | None = None) -> Sequence:
@@ -724,7 +738,7 @@ def parse_sequence(text: str, group: GroupSpec | None = None) -> Sequence:
             raise ParseError("empty term", at)
         m = _TERM_RE.fullmatch(chunk)
         elem_text = m.group("elem")
-        mult = int(m.group("mult")) if m.group("mult") else 1
+        mult = _number(m.group("mult"), "multiplicity", at) if m.group("mult") else 1
         pairs.append((_parse_element(elem_text, at, group), mult))
     try:
         return Sequence.from_pairs(pairs)

@@ -152,62 +152,68 @@ the suffix rows, decided once per search, so a product's child costs no
 extra big-integer operation.
 
 On a one-dimensional lattice set X (a one-axis box or a 1-D explicit set;
-never a group product) the search also applies Lambert's sign-count
-bound: an atom over X has at most m = max(0, -min X) positive and at
-most M = max(0, max X) negative terms.  Proof: order the atom so that
-each term opposes the sign of the running sum (``davkit.reorder``).  Its
-prefix sums s_0 = 0, s_1, ..., s_(n-1) are distinct, and from s_1 on
-they lie in [-m, M], from s_2 on in [1 - m, M].  Each positive term is
-added at a prefix value in [-m, 0].  The value -m can only be s_1, and
-then the term added at s_0 = 0 was negative, so at most m of these
-m + 1 values take a positive term.  The negative side is the mirror
-image.  (For G x X the bound is false: D(C3 x [-2,2]) = 9 > 2 + 2.)
+never a group product) the search also applies Lambert's bound: a
+nonzero atom A has at most m = max(0, -min A) positive and at most
+M = max(0, max A) negative terms, so it is at most m + M long (the atom 0
+alone has no sign; it is met only as the root's closure).  Proof: order
+A so that each term opposes the sign of the running sum
+(``davkit.reorder``).  Its prefix sums s_0 = 0, s_1, ..., s_(n-1) are
+distinct, and from s_1 on they lie in [-m, M], from s_2 on in [1 - m, M].
+Each positive term is added at a prefix value in [-m, 0].  The value -m
+can only be s_1, and then the term added at s_0 = 0 was negative, so at
+most m of these m + 1 values take a positive term.  The negative side is
+the mirror image.  (For G x X the bound is false: D(C3 x [-2,2]) = 9 >
+2 + 2.)
 
-In canonical order the negatives are a prefix block elems[:kn], and a
-node never holds 0 (it is zero-sum free).  So a node whose last element
-is negative holds only negatives, as many as its depth, and skips its
-negative children once that reaches M.  Each skipped child counts as a
-prune.  The decision is taken once per node, on the child range, so a
-child costs nothing extra and other searches pay one test per node.
+The search applies it per node P below the root.  An atom below P
+contains P, and every element it adds comes at or after P's last one,
+so its minimum is min P.  Its support lies in P, the elements P leaves
+alive and e_jc, the child that closes P (see the window rows above; the
+alive set is read before the ``stop`` clip).  So every atom below P has
+at most m' = max(0, -min P) positive and at most M' = max(0, the largest
+alive element, e_jc) negative terms.  P's own largest element, its last,
+needs no term in M': an alive element or e_jc is at least as large, and
+with neither P has no child.  This has two consequences.
 
-The positive half needs no test.  Take a node P whose last element is
-positive and that holds m positives.  Every child is positive, and so is
-every element after it, so the rows pass a child only if its total is
-<= 0.  A total of 0 would be an atom with m + 1 positives, which the
-bound excludes.  A zero-sum-free multiset over X with a negative total
-holds at most m positives: order it by adding a positive term whenever
-the running sum is <= 0 and a positive is left, and a negative term
-otherwise (one is left while the sum is > 0, as the total is negative).
-The prefix sums are distinct.  Each positive term is added at a prefix
-value <= 0, and every prefix value before the last positive term is
->= 1 - m (a negative term is added at a sum >= 1, a positive one raises
-the sum), so these values lie in {0} U [1 - m, -1]: at most m.  A
-child P + e that is not killed is zero-sum free.  So every child of P is
-killed or cut by the rows, and counts as the one prune that skipping it
-would count.
-
-The bound holds for any X that contains the atom's support, the support
-itself included, so a nonzero atom A is at most
-max(0, -min A) + max(0, max A) long (the atom 0 alone has no sign; it is
-met only as the root's closure).  The search applies this per node P
-below the root.  An atom below P contains P, and every element it adds
-comes at or after P's last one, so its minimum is min P.  Its support
-lies in P, the elements P leaves alive and e_jc, the child that closes P
-(see the window rows above; the alive set is read before the ``stop``
-clip).  So every atom below P is at most b = m' + M' long, with
-m' = max(0, -min P) and M' = max(0, the largest alive element, e_jc).
-P's own largest element, its last, needs no term: an alive element or
-e_jc is at least as large, and with neither P has no child.  The node's
+The length: every atom below P is at most b = m' + M' long.  The node's
 rows, both pairs, then use T' = min(T, b - |P| - 1): no child can still
 add more elements than that.  When T' < 0 no atom lies below P and every
 child is cut, each counting as one prune.  (This never cuts a closure:
-P + e_jc is an atom below P, so b >= |P| + 1.)  The root needs no such
-cut: its b is the diameter of X, at least the depth, except on X = {0},
-where the atom 0 is longer than b = 0.  The cut depends only on the node
-and X, not on the root range, so the counts of the pool's one-root tasks
-add up to those of the sequential run.  It drops only nodes with no atom
-below them, so atom lists, witnesses and closure counts stay the same;
-node and prune counts drop.
+P + e_jc is an atom below P, so b >= |P| + 1.)
+
+The sign count: in canonical order the negatives come first, and a node
+never holds 0 (it is zero-sum free).  So a node whose last element is
+negative holds only negatives, |P| of them, and once |P| >= M' no
+negative child has an atom below it.  Their bits are cleared from the
+window of children to visit, so the loop passes each of them over and
+counts it as one prune, as it does a killed child; the child that closes
+P is positive.  No negative element then appears below P (the subtrees
+of the positive children hold only positives), so the alive set is read
+without them.  The positive half needs no test.  Take a node
+P whose last element is positive and that holds m' positives.  Every
+child is positive, and so is every element after it, so the rows pass a
+child only if its total is <= 0.  A total of 0 would be an atom below P
+with m' + 1 positives.  A zero-sum-free multiset with minimum -m' and a
+negative total holds at most m' positives: order it by adding a positive
+term whenever the running sum is <= 0 and a positive is left, and a
+negative term otherwise (one is left while the sum is > 0, as the total
+is negative).  The prefix sums are distinct.  Each positive term is
+added at a prefix value <= 0, and every prefix value before the last
+positive term is >= 1 - m' (a negative term is added at a sum >= 1, a
+positive one raises the sum), so these values lie in {0} U [1 - m', -1]:
+at most m'.  A child P + e that is not killed is zero-sum free, with
+minimum min P.  So every child of P is killed or cut by the rows, and
+counts as the one prune that a sign-count test would count.
+
+The root needs no rule.  Its b is the diameter of X, at least the depth,
+except on X = {0}, where the atom 0 is longer than b = 0.  Its M' is
+max(0, max X), which stops a negative root child only when max X = 0;
+then the depth is at most 1, and the T = 0 row already cuts every such
+child.  Both rules depend only on the node and X, not on the root range,
+so the counts of the pool's one-root tasks add up to those of the
+sequential run.  They drop only nodes with no atom below them, so atom
+lists, witnesses and closure counts stay the same; node and prune counts
+drop.
 
 Early stop
 ----------
@@ -421,14 +427,9 @@ class _Space:
         # the window rows, over the elements a node leaves alive, serve
         # lattice sets only (see the module docstring)
         self.lattice = not moduli
-        # Lambert's cuts serve one-dimensional lattice sets only, where each
-        # element's delta is its value.  The sign count: elems[:kn] are
-        # negative, and an atom has at most max(0, max X) negative terms;
-        # kn = 0 where the cut does not apply
+        # Lambert's bound serves one-dimensional lattice sets only, where
+        # each element's delta is its value
         self.line = d == 1 and not moduli
-        self.signs = (0, 0)
-        if self.line:
-            self.signs = (sum(t < 0 for t in self.deltas), max(0, self.deltas[-1]))
 
     def moves(self, alive: int) -> list[int]:
         """[up, down]: how far the elements whose bits are set in ``alive``
@@ -510,7 +511,6 @@ def _search_sequential(
     at = space.at
     window = space.window
     dmin = deltas[0]
-    kn, most_neg = space.signs
     lattice = space.lattice
     line = space.line
     windows = {}  # alive elements, laid out like ``window`` -> [up, down]
@@ -539,13 +539,6 @@ def _search_sequential(
         is clear are visited.  On a line, ``low`` is max(0, -min P) below
         the root."""
         nonlocal nodes, prunes, closures
-        # the sign-count cut: P is all negative, or the root
-        if start < kn and depth >= most_neg:
-            cut = min(kn, stop)
-            prunes += cut - start
-            start = cut
-        if start >= stop:
-            return
         nd = depth + 1
         T = depth_cap - nd
         d0 = deltas[start]
@@ -555,7 +548,7 @@ def _search_sequential(
         jc = closing[x]  # the one child that closes P: e_j = -t
         if line and depth:
             # Lambert's bound on the atoms below P, from the alive elements,
-            # read before the ``stop`` clip, and e_jc
+            # read before the ``stop`` clip, and e_jc: M' = max(0, top)
             top = d0 + bits.bit_length() - 1 if bits else 0
             if jc is not None and deltas[jc] > top:
                 top = deltas[jc]
@@ -565,6 +558,8 @@ def _search_sequential(
                 return
             if reach - nd < T:  # no min(): this runs at every node
                 T = reach - nd
+            if d0 < 0 and depth >= top:  # all-negative P: skip negative children
+                bits &= -1 << -d0
         cl = CL[T]
         cr = CR[T]
         wl = 0

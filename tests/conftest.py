@@ -1,6 +1,6 @@
 """Shared helpers for the test suite."""
 
-from davkit import Interval, Sequence
+from davkit import Box, Interval, Sequence
 
 
 def S(spec) -> Sequence:
@@ -11,7 +11,7 @@ def S(spec) -> Sequence:
     return Sequence.from_elements(spec)
 
 
-def interval(m: int, M: int) -> Interval:
+def interval(m: int, M: int) -> Box:
     return Interval(-m, M)
 
 

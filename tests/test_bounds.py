@@ -88,6 +88,22 @@ class TestBoxBounds:
         with pytest.raises(GuardExceededError, match="12 bits"):
             box_upper([2, 2, 2])
 
+    def test_every_bracket_guards_its_bits(self, monkeypatch):
+        # C16 has D = 16, of 5 bits
+        monkeypatch.setenv("DAVKIT_GUARD", "5")
+        assert group_davenport(GroupSpec((16,))).upper == 16
+        monkeypatch.setenv("DAVKIT_GUARD", "4")
+        with pytest.raises(GuardExceededError, match="5 bits"):
+            group_davenport(GroupSpec((16,)))
+
+    def test_product_bracket_guards_its_bits(self):
+        # the box factor passes its own guard (14,280 bits); times
+        # D(C_(10^300)) it does not
+        box = parse_ground_set("[-1,1]^1190")
+        assert ground_bounds(box).upper == 2379**1190
+        with pytest.raises(GuardExceededError, match="above the guard of 14284"):
+            product_bounds(GroupSpec((10**300,)), box)
+
     def test_square_upper(self):
         assert square_upper(1, 1) == 15
         assert square_upper(1, 2) == 25

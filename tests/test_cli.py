@@ -241,10 +241,20 @@ class TestErrorsAndSpec:
             ["davenport", "[-2,3]", "--cap", "0"],
             ["davenport", "[-2,3]", "--cap", "-3"],
             ["verify", "--inverse", "--m", "3..2"],
+            ["bounds", "[-2,3]", "--group", "C2"],
+            # numbers of more than the 4,300 digits that Python converts
+            ["bounds", "[-1,1" + "0" * 5000 + "]"],
+            ["bounds", "[-1,1]^" + "1" * 5001],
+            ["bounds", "--group", "C" + "1" * 5001],
+            ["check-minimal", "--seq", "1^" + "1" * 5001],
+            ["check-minimal", "--seq", "1" * 5001],
+            ["check-minimal", "--seq", "(1," + "1" * 5001 + ")"],
         ],
         ids=["group-factor", "missing-parameter", "range", "seed-element", "zero-abs",
              "negative-threads", "negative-threads-no-search", "negative-threads-bounds",
-             "zero-cap", "negative-cap", "empty-range"],
+             "zero-cap", "negative-cap", "empty-range", "ground-and-group",
+             "long-interval-bound", "long-power", "long-group-order", "long-multiplicity",
+             "long-element", "long-coordinate"],
     )
     def test_bad_parameter_is_usage_error(self, argv):
         proc = subprocess.run(
@@ -291,6 +301,20 @@ class TestErrorsAndSpec:
         code, out, err = run_cli(capsys, "bounds", "[-1,1]^1191", "--no-stats")
         assert code == EXIT_GUARD and out == ""
         assert err.startswith("guard: the bound of a 1191-axis box needs up to 14292 bits")
+
+    @pytest.mark.parametrize("ground", ["[-1,1]^" + str(10**30), "[-1,1]^1000001", "[0,0]^600000x[-1,1]^400001"])
+    def test_box_above_the_axes_guard_is_a_guard_exit(self, capsys, ground):
+        # raised before the list of axes is built
+        code, out, err = run_cli(capsys, "bounds", ground, "--no-stats")
+        assert code == EXIT_GUARD and out == ""
+        assert err.startswith("guard: a box of") and "above the guard of 1000000" in err
+
+    def test_product_bound_above_the_bits_guard_is_a_guard_exit(self, capsys):
+        # the box factor passes its own guard; times D(C_(10^300)) the
+        # bound has 14,344 bits, too many to print
+        code, out, err = run_cli(capsys, "bounds", f"C{10**300}x[-1,1]^1190", "--no-stats")
+        assert code == EXIT_GUARD and out == ""
+        assert err.startswith("guard: a bound of 14344 bits")
 
     def test_emit_spec_round_trip(self, capsys):
         code, out, _ = run_cli(

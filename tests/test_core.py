@@ -185,6 +185,11 @@ class TestEnumerate:
             enumerate_elements(Interval(-10, 10))
         assert err.value.cardinality == 21
 
+    def test_cardinality_groups_equal_widths(self):
+        assert Box(((0, 1), (0, 2), (0, 1), (-3, 3))).cardinality() == 2 * 3 * 2 * 7
+        # one power per width: a product axis by axis would take seconds
+        assert parse_ground_set("[-1,1]^1000000").cardinality() == 3**1000000
+
     def test_cardinality_beyond_printable_digits(self):
         # 3^10000 has 4,772 digits, more than Python converts to text by
         # default; the message names a power of two below it
@@ -259,7 +264,8 @@ class TestParser:
         assert err.value.position is not None
 
     @pytest.mark.parametrize(
-        "text,position", [("{(1,a)}", 1), ("{(1|0)}", 1), ("{2,(1,a)}", 3), ("C2x{(1,a)}", 4)]
+        "text,position",
+        [("{(1,a)}", 1), ("{(1|0)}", 1), ("{2,(1,a)}", 3), ("C2x{(1,a)}", 4), ("{2,(1," + "1" * 5001 + ")}", 3)],
     )
     def test_bad_explicit_element_carries_position(self, text, position):
         # explicit-set elements are read by the sequence element parser,
@@ -271,7 +277,7 @@ class TestParser:
     def test_group_grammar(self):
         assert parse_group("C2xC4") == GroupSpec((2, 4))
         assert parse_group(" C3 x C3 ") == GroupSpec((3, 3))
-        for text, position in [("C2xCa", 3), ("", 0), ("C4xC2", 0), ("C2x[-1,1]", 3)]:
+        for text, position in [("C2xCa", 3), ("", 0), ("C4xC2", 0), ("C2x[-1,1]", 3), ("C2xC" + "1" * 5001, 3)]:
             with pytest.raises(ParseError) as err:
                 parse_group(text)
             assert err.value.position == position, text

@@ -425,20 +425,20 @@ def test_hunt_chi_gap_smoke():
 class TestTreePinned:
     """(nodes, prunes, closures) at threads=1: the pruning decisions of the
     guarded running total are those of the direct inequalities, the
-    window rows prune lattice sets, and the sign-count cut and Lambert's
-    local depth prune one-dimensional sets.  A node is a multiset the
+    window rows prune lattice sets, and Lambert's bound per node prunes
+    one-dimensional sets.  A node is a multiset the
     search extends; the empty root is not counted."""
 
     @pytest.mark.parametrize(
         "text,cap,counts",
         [
-            ("[-7,7]", None, (6800, 28997, 560)),
-            ("[-6,10]", None, (9503, 54171, 957)),
+            ("[-7,7]", None, (6217, 25432, 560)),
+            ("[-6,10]", None, (9180, 51582, 957)),
             ("[-1,2]x[-1,1]", None, (1503, 9296, 39)),
             ("[-1,1]^3", 7, (47, 468, 1)),
             ("{(2,1),(-1,0),(0,-1),(-1,1)}", None, (183, 277, 3)),
-            # neither cut applies to a group product over one lattice axis;
-            # the sign count would be false here (D = 9 > 2 + 2)
+            # Lambert's bound does not apply to a group product over one
+            # lattice axis; it would be false here (D = 9 > 2 + 2)
             ("C3x[-2,2]", None, (11817, 41949, 406)),
             ("C2x[-1,1]^2", 8, (178, 895, 2)),
             ("C3xC3x{-1,1}", None, (9, 9, 1)),
@@ -452,7 +452,7 @@ class TestTreePinned:
             ("{-7,-3,2,5,6}", None, (12, 4, 1)),
             ("[-1,1]x[0,0]", None, (1, 2, 1)),
             # the zero element, over an exhausted tree
-            ("[-8,8]", None, (24094, 117671, 1165)),
+            ("[-8,8]", None, (20952, 97252, 1165)),
             # negative deltas dominate these trees: such a child keeps its
             # parent's mask base and shifts the mask left
             ("[-1,1]^3", 9, (78, 676, 1)),
@@ -465,7 +465,7 @@ class TestTreePinned:
 
     def test_atoms_of_length_counts(self):
         for text, length, atoms, counts in [
-            ("[-5,5]", 9, 2, (442, 1474, 100)),
+            ("[-5,5]", 9, 2, (425, 1387, 100)),
             ("[-2,2]^2", 8, 644, (21196, 156622, 3577)),
         ]:
             _, _, _, collected, st_ = _run_search(parse_ground_set(text), length, "all")
@@ -648,20 +648,23 @@ class _Stop(Exception):
 
 def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
     """The orderly search of the ``davkit.search`` docstring over plain
-    sets of sub-sums in the group, no bit packing.  Each child P + e of a
-    node P, in canonical order, is cut by the sign-count rule (on a 1-D
-    lattice set: a negative e when P holds only negatives, at least max X
-    of them; a positive e when P holds at least -min X positives), else a
-    closure when e = -t, else killed when e = 0 or -e is a sub-sum of P,
-    else cut by the rows (``_direct`` on the lattice part; at T = 0 every
-    child), else, on a lattice set, cut by ``_direct`` over the elements
-    that P leaves alive (index i >= the node's start, not the root range's,
-    e_i != 0 and -e_i not a sub-sum of P), and otherwise extended.  On a
-    1-D lattice set a nonempty P first takes Lambert's bound
-    b = max(0, -min P) + max(0, max of P, the alive elements and the
-    element that closes P): when b < |P| + 1 every child is cut; otherwise
-    the rows and the alive test use T = min(depth - |P| - 1, b - |P| - 1).
-    Returns what ``_search_sequential`` does, with the counts as a tuple."""
+    sets of sub-sums in the group, no bit packing.  On a 1-D lattice set a
+    nonempty P first takes Lambert's bound b = m' + M', m' = max(0, -min P)
+    and M' = max(0, max of P, the alive elements and the element that
+    closes P): when b < |P| + 1 every child is cut; otherwise the rows and
+    the alive test use T = min(depth - |P| - 1, b - |P| - 1).  Each child
+    P + e of a node P, in canonical order, is then cut by Lambert's sign
+    count (on a 1-D lattice set, P nonempty: a negative e when P holds
+    only negatives, at least M' of them; a positive e when P holds at
+    least m' positives), else a closure when e = -t, else killed when
+    e = 0 or -e is a sub-sum of P, else cut by the rows (``_direct`` on
+    the lattice part; at T = 0 every child), else, on a lattice set, cut
+    by ``_direct`` over the elements that P leaves alive (index i >= the
+    node's start, not the root range's, e_i != 0 and -e_i not a sub-sum
+    of P), and otherwise extended.  The kernel has no positive sign-count
+    test: the module docstring proves that every such child is killed or
+    cut by the rows anyway.  Returns what ``_search_sequential`` does, with
+    the counts as a tuple."""
     elems = enumerate_elements(ground)
     if elems[0].group is not None:
         moduli = elems[0].group.factors
@@ -674,8 +677,7 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
     functionals = _functionals(d)
     rows = functools.cache(lambda j, T, t: T >= 1 and _direct(lattice, j, T, t, functionals))
     window = functools.cache(lambda alive, T, t: not moduli and not _direct(alive, 0, T, t, functionals))
-    most_pos, most_neg = max(0, -coords[0][0]), max(0, coords[-1][0])
-    signs = d == 1 and not moduli
+    line = d == 1 and not moduli
     values = [v[0] for v in coords]
     counts = [0] * k
     collected, best, tally = [], [0, None], [0, 0, 0]
@@ -700,18 +702,19 @@ def _set_search(ground, depth: int, mode: str, lo: int, hi: int):
         neg_count = sum(coords[i][0] < 0 for i in P)
         alive = tuple(lattice[i] for i in range(start, k) if any(coords[i]) and neg(coords[i]) not in sums)
         T = depth - len(P) - 1
-        if signs and P:
+        most_pos = most_neg = len(P) + 1  # no sign-count cut
+        if line and P:
             closer = [e[0] for e in coords[start:] if not any(add(t, e))]
             support = [values[i] for i in P] + [a[0] for a in alive] + closer
-            reach = max(0, -values[P[0]]) + max(0, *support)
-            if reach < len(P) + 1:
+            most_pos, most_neg = max(0, -values[P[0]]), max(0, *support)
+            if most_pos + most_neg < len(P) + 1:
                 tally[1] += stop - start
                 return
-            T = min(T, reach - len(P) - 1)
+            T = min(T, most_pos + most_neg - len(P) - 1)
         for j in range(start, stop):
             e = coords[j]
             nt = add(t, e)
-            if signs and (
+            if (
                 e[0] < 0 and neg_count == len(P) >= most_neg
                 or e[0] > 0 and len(P) - neg_count >= most_pos
             ):
@@ -760,8 +763,11 @@ class TestWindow:
         "text,depth",
         [
             ("[-3,4]", 6),
-            # the full depth: the negative sign-count cut decides here
+            # the full depth: the negative sign count decides here, and on
+            # [-4,4] it needs depth >= M' and e_jc in M'
             ("[-3,3]", 6),
+            ("[-4,4]", 7),
+            ("{-5,-2,3,4}", 8),
             ("{-7,-3,2,5,6}", 6),
             ("[-1,1]x[0,0]", 4),
             ("[-2,2]^2", 5),
