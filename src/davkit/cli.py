@@ -7,13 +7,15 @@ human-readable summary.  Search progress streams to stderr, never stdout.
 
 Exit codes: 0 success; 1 usage error; 2 guard or cap exceeded;
 3 internal consistency failure (a certified identity failed to verify -
-never expected).
+never expected); 141 the reader closed stdout before the output was
+written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_CONSISTENCY = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer killed by it
 
 
 @dataclass
@@ -532,10 +535,12 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         spec = job_from_args(args)
         if args.emit_spec:
-            print(json.dumps(spec.to_json(), indent=2))
-            return EXIT_OK
-        code, report = run(spec)
-        print(render(report, spec.output))
+            code, text = EXIT_OK, json.dumps(spec.to_json(), indent=2)
+        else:
+            code, report = run(spec)
+            text = render(report, spec.output)
+        print(text)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -546,6 +551,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE recipe: stdout goes to devnull, so the
+        # flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -93,9 +93,15 @@ class ConsistencyError(DavkitError):
 
 
 def resolve_guard(default: int) -> int:
-    """Guard value: DAVKIT_GUARD if set, else the default."""
+    """Guard value: DAVKIT_GUARD if set, else the default.  A value that
+    is not a non-negative integer is a ParseError or ValidationError."""
     env = os.environ.get(GUARD_ENV_VAR)
-    return int(env) if env else default
+    if not env:
+        return default
+    guard = _number(env, f"{GUARD_ENV_VAR} value", None)
+    if guard < 0:
+        raise ValidationError(f"{GUARD_ENV_VAR} must be >= 0, got {guard}")
+    return guard
 
 
 def check_i64(value: int, context: str = "value") -> int:
@@ -532,8 +538,8 @@ def contains_element(ground: GroundSet, e: Element) -> bool:
 # ---------------------------------------------------------------------------
 # ground-set grammar
 
-_INTERVAL_RE = re.compile(r"\[(-?\d+),(-?\d+)\](?:\^(\d+))?$")
-_GROUP_RE = re.compile(r"C(\d+)$")
+_INTERVAL_RE = re.compile(r"\[(-?[0-9]+),(-?[0-9]+)\](?:\^([0-9]+))?$")
+_GROUP_RE = re.compile(r"C([0-9]+)$")
 
 
 def _split_top_level(text: str, sep: str) -> list[tuple[str, int]]:
@@ -684,17 +690,22 @@ def sequence_to_json(s: Sequence) -> dict:
 # ---------------------------------------------------------------------------
 # sequence grammar
 
-_TERM_RE = re.compile(r"(?P<elem>.+?)(?:\^(?P<mult>\d+))?$")
+_TERM_RE = re.compile(r"(?P<elem>.+?)(?:\^(?P<mult>[0-9]+))?$")
+_NUMBER_RE = re.compile(r"-?[0-9]+")
 
 
-def _number(text: str, what: str, pos: int) -> int:
-    """The integer ``text`` of the grammar, or ParseError: Python converts
-    at most 4,300 digits (``sys.get_int_max_str_digits``)."""
+def _number(text: str, what: str, pos: int | None) -> int:
+    """The integer ``text`` of the grammar, ``-?[0-9]+`` in ASCII digits,
+    or ParseError: ``int`` alone would also read ``1_0``, ``+1`` and
+    non-ASCII digits, and converts at most 4,300 digits
+    (``sys.get_int_max_str_digits``)."""
     try:
-        return int(text)
+        if _NUMBER_RE.fullmatch(text):
+            return int(text)
     except ValueError:
-        shown = repr(text) if len(text) <= 40 else f"of {len(text)} characters"
-        raise ParseError(f"bad {what} {shown}", pos) from None
+        pass
+    shown = repr(text) if len(text) <= 40 else f"of {len(text)} characters"
+    raise ParseError(f"bad {what} {shown}", pos)
 
 
 def _parse_ints(text: str, pos: int) -> tuple[int, ...]:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
+from . import search as _search
 from .core import Interval, Sequence, ValidationError
-from .search import atoms_of_length
 
 
 class InverseCase(str, Enum):
@@ -162,17 +162,17 @@ def verify_inverse(ms, threads: int = 1) -> InverseReport:
         ground = Interval(-m, m)
         if m >= 2:
             expected = set(symmetric_max_templates(m))
-            found = atoms_of_length(ground, 2 * m - 1, threads=threads)
+            found = _search.atoms_of_length(ground, 2 * m - 1, threads=threads)
             record(f"[-{m},{m}] length {2 * m - 1}", expected, found)
         if m >= 3:
             expected = set(symmetric_submax_templates(m).values())
-            found = atoms_of_length(ground, 2 * m - 2, threads=threads)
+            found = _search.atoms_of_length(ground, 2 * m - 2, threads=threads)
             record(f"[-{m},{m}] length {2 * m - 2}", expected, found)
 
     pairs = [(m, M) for m in ms for M in ms if gcd(m, M) == 1]
     for m, M in pairs:
         expected = {Sequence.from_pairs([(M, m), (-m, M)])}
-        found = atoms_of_length(Interval(-m, M), m + M, threads=threads)
+        found = _search.atoms_of_length(Interval(-m, M), m + M, threads=threads)
         record(f"[-{m},{M}] length {m + M}", expected, found)
 
     return InverseReport(tuple(checks))

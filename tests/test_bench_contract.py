@@ -9,12 +9,14 @@ traced bench runs (``--trace 1``) without any edit under ``davbench/``.
 import importlib
 import inspect
 import os
+import subprocess
 import sys
 
 from davkit import GroupSpec, parse_ground_set, parse_sequence
 from davkit.search import SearchStats, _run_search
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "davbench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "davbench"))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -27,6 +29,24 @@ def test_every_wrapped_function_resolves():
         mod = importlib.import_module(module)
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+def test_tracer_wraps_every_layer_in_a_fresh_interpreter():
+    # as davbench/run.py does: import davkit, then the workloads (which
+    # import davkit.cli), then install the tracer, which looks each layer's
+    # module up in sys.modules while most of davkit has not run yet
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{os.path.join(ROOT, 'src')!r}, {os.path.join(ROOT, 'davbench')!r}]\n"
+        "import davkit, tracing, workloads\n"
+        "tracing.Tracer().install()\n"
+        "print([f'{mod}.{name}' for _, mod, names in tracing.LAYERS for name in names\n"
+        "       if not hasattr(getattr(sys.modules[mod], name), '__wrapped__')])\n"
+        "print(hasattr(davkit.davenport, '__wrapped__'), davkit.davenport is davkit.search.davenport)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]
 
 
 def test_run_search_keeps_its_signature_and_five_tuple():

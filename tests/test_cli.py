@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from davkit import ground_bounds, parse_ground_set
 from davkit import search as _search
 from davkit.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CONSISTENCY,
     EXIT_GUARD,
     EXIT_OK,
@@ -249,12 +251,15 @@ class TestErrorsAndSpec:
             ["check-minimal", "--seq", "1^" + "1" * 5001],
             ["check-minimal", "--seq", "1" * 5001],
             ["check-minimal", "--seq", "(1," + "1" * 5001 + ")"],
+            # only ASCII digits, with no underscores, are numbers of the grammar
+            ["check-minimal", "--seq", "1_0*(-10)"],
+            ["bounds", "[-\u0661,\u0662]"],
         ],
         ids=["group-factor", "missing-parameter", "range", "seed-element", "zero-abs",
              "negative-threads", "negative-threads-no-search", "negative-threads-bounds",
              "zero-cap", "negative-cap", "empty-range", "ground-and-group",
              "long-interval-bound", "long-power", "long-group-order", "long-multiplicity",
-             "long-element", "long-coordinate"],
+             "long-element", "long-coordinate", "underscore-digits", "non-ascii-digits"],
     )
     def test_bad_parameter_is_usage_error(self, argv):
         proc = subprocess.run(
@@ -272,6 +277,33 @@ class TestErrorsAndSpec:
         monkeypatch.setenv("DAVKIT_GUARD", "3")
         code, _, err = run_cli(capsys, "davenport", "[-5,5]")
         assert code == EXIT_GUARD
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("abc", "error: bad DAVKIT_GUARD value 'abc'"),
+         ("-5", "error: DAVKIT_GUARD must be >= 0, got -5")],
+        ids=["not-an-integer", "negative"],
+    )
+    def test_bad_guard_value_is_usage_error(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("DAVKIT_GUARD", value)
+        code, out, err = run_cli(capsys, "bounds", "[-1,2]")
+        assert code == EXIT_USAGE and out == ""
+        assert err.strip() == message
+
+    def test_closed_stdout_exits_quietly(self):
+        # the read end is closed before the child starts, so its first
+        # write meets a broken pipe
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "davkit", "check-minimal", "[-2,3]", "--seq", "3^2*(-2)^3"],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("command", ["bounds", "davenport"])
     @pytest.mark.parametrize("power", [100000, 1000000])
@@ -339,12 +371,61 @@ class TestErrorsAndSpec:
         assert code == EXIT_USAGE
 
 
+# the davkit modules whose code has run: the others are still lazy
+_EXECUTED = (
+    "sorted(n for n, m in sys.modules.items() if n.startswith('davkit.') and type(m) is types.ModuleType)"
+)
+
+
 def test_cli_import_loads_no_process_pool():
-    # the pool modules are imported only where a parallel search starts
-    code = "import sys, davkit.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    # the pool modules are imported only where a parallel search starts,
+    # and of davkit's own modules the import runs the cli and core alone
+    code = (
+        "import sys, types, davkit.cli\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+        f"print({_EXECUTED})"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", str(["davkit.cli", "davkit.core"])]
+
+
+_SEARCHING = {"bounds", "search", "zerosum"}
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (["bounds", "[-2,3]"], {"bounds"}),
+        (["bounds", "--group", "C2xC4"], {"bounds"}),
+        (["check-minimal", "[-2,3]", "--seq", "3^2*(-2)^3"], {"zerosum"}),
+        (["reorder", "--seq", "3^2*(-2)^3", "--seed-element", "3"], {"reorder"}),
+        (["reorder", "--seq", "(1,1)*(-1,1)*(0,-1)^2"], {"reorder"}),
+        (["classify", "--m", "3", "--seq", "3^2*(-2)^3"], {"inverse"}),
+        (["construct", "--kind", "hypercube", "--m", "2", "--d", "2"], {"constructions", "zerosum"}),
+        (["verify", "--powers"], {"constructions", "zerosum"}),
+        (["davenport", "[-2,3]"], _SEARCHING),
+        (["atoms", "[-2,3]", "--length", "5"], _SEARCHING),
+        (["hunt-chi-gap", "--abs", "1", "--max-size", "2"], _SEARCHING),
+        (["verify", "--inverse", "--m", "2..3"], _SEARCHING | {"inverse"}),
+    ],
+    ids=["bounds", "bounds-group", "check-minimal", "reorder-sign-opposing", "reorder-greedy",
+         "classify", "construct", "verify-powers", "davenport", "atoms", "hunt-chi-gap",
+         "verify-inverse"],
+)
+def test_command_executes_only_its_modules(argv, executed):
+    # davkit's submodules run on first use, so a command runs only the
+    # modules it needs; a stray top-level import would show here
+    code = (
+        "import contextlib, io, sys, types, davkit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = davkit.cli.main(sys.argv[1:])\n"
+        f"print(code, {_EXECUTED})"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    expected = sorted(f"davkit.{m}" for m in executed | {"cli", "core"})
+    assert proc.stdout.strip() == f"{EXIT_OK} {expected}"
 
 
 def test_module_entry_point():
