@@ -325,7 +325,6 @@ def ground_bounds(ground: GroundSet) -> BoundReport:
         return product_bounds(ground.group, ground.base)
     if ground == _ZERO:
         return BoundReport(1, 1, True, ("zero-only-atom",))
-    bound = _structural(ground)
     if isinstance(ground, Box) and ground.dim == 1:
         (lo, hi), = ground.intervals
         return interval_davenport(-lo, hi)
@@ -333,11 +332,11 @@ def ground_bounds(ground: GroundSet) -> BoundReport:
     if shape is not None:
         return hypercube_bounds(*shape)
     if (vals := _line_values(ground)) is not None:
-        lower = chi(vals)
-        return BoundReport(lower, bound, lower == bound, ("chi-pair-lower", "diameter-upper"))
+        lower, upper = chi(vals), _structural(ground)
+        return BoundReport(lower, upper, lower == upper, ("chi-pair-lower", "diameter-upper"))
     if ground.dim == 2:  # every subset of the enclosing box
         return BoundReport(0, square_upper(*_half_widths(ground)), False, ("rectangle-reorder-upper",))
-    return BoundReport(0, bound, False, ("steinitz-box-upper",))
+    return BoundReport(0, _structural(ground), False, ("steinitz-box-upper",))
 
 
 def product_bounds(G: GroupSpec, X: GroundSet) -> BoundReport:

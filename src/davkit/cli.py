@@ -24,6 +24,7 @@ from . import constructions as _constructions
 from . import inverse as _inverse
 from . import reorder as _reorder
 from . import search as _search
+from . import zerosum as _zerosum
 from .core import (
     Box,
     ConsistencyError,
@@ -34,6 +35,8 @@ from .core import (
     ParseError,
     Sequence,
     ValidationError,
+    _number,
+    check_threads,
     contains_element,
     emit_ground_set,
     parse_ground_set,
@@ -79,7 +82,7 @@ class JobSpec:
             parameters=dict(data.get("parameters") or {}),
             output=data.get("output", "json"),
             no_stats=bool(data.get("no_stats", False)),
-            threads=int(data.get("threads", 0)),
+            threads=data.get("threads", 0),
         )
 
 
@@ -103,11 +106,20 @@ def _require_ground(spec: JobSpec) -> GroundSet:
 
 
 def _int_params(spec: JobSpec, *names: str) -> list[int]:
-    """The named parameters as integers; ValidationError if any is missing."""
-    missing = [f"--{name}" for name in names if spec.parameters.get(name) is None]
-    if missing:
-        raise ValidationError(f"missing {', '.join(missing)}")
-    return [int(spec.parameters[name]) for name in names]
+    """The named parameters, ints as the parser read them; ValidationError
+    if one is missing or, in a JobSpec built by hand, is not an int."""
+    values = [spec.parameters.get(name) for name in names]
+    for name, value in zip(names, values):
+        if value is None:
+            raise ValidationError(f"missing --{name}")
+        if type(value) is not int:
+            raise ValidationError(f"--{name} must be an integer, got {value!r}")
+    return values
+
+
+def _read_number(text: str, what: str, pos: int | None = None) -> int:
+    """A number of the grammar, whitespace ignored as in a ground set."""
+    return _number("".join(text.split()), what, pos)
 
 
 def _parse_seq_param(spec: JobSpec, ground: GroundSet | None) -> Sequence:
@@ -143,12 +155,10 @@ def _cmd_davenport(spec: JobSpec):
 
 def _cmd_atoms(spec: JobSpec):
     ground = _require_ground(spec)
-    length = spec.parameters.get("length")
-    if length is None:
-        raise ValidationError("missing --length")
-    atoms = _search.atoms_of_length(ground, int(length), threads=spec.threads)
+    (length,) = _int_params(spec, "length")
+    atoms = _search.atoms_of_length(ground, length, threads=spec.threads)
     payload = {
-        "length": int(length),
+        "length": length,
         "count": len(atoms),
         "atoms": [sequence_to_json(a) for a in atoms],
     }
@@ -158,10 +168,8 @@ def _cmd_atoms(spec: JobSpec):
 def _cmd_check_minimal(spec: JobSpec):
     ground = parse_ground_set(spec.ground) if spec.ground else None
     s = _parse_seq_param(spec, ground)
-    from . import zerosum
-
-    zero = zerosum.is_zero_sum(s)
-    witness = zerosum.find_proper_zero_subsum(s) if zero else None
+    zero = _zerosum.is_zero_sum(s)
+    witness = _zerosum.find_proper_zero_subsum(s) if zero else None
     payload = {
         "sequence": sequence_to_json(s),
         "zero_sum": zero,
@@ -176,12 +184,8 @@ def _cmd_reorder(spec: JobSpec):
     s = _parse_seq_param(spec, ground)
     if s.dim == 1 and not s.is_mixed:
         flat = [e.coords[0] for e in s.flatten()]
-        seed_text = spec.parameters.get("seed_element")
-        if seed_text is not None:
-            try:
-                target = int(seed_text)
-            except ValueError:
-                raise ParseError(f"bad seed element {seed_text!r}", 0) from None
+        if (seed_text := spec.parameters.get("seed_element")) is not None:
+            target = _read_number(seed_text, "seed element", 0)
             if target not in flat:
                 raise ValidationError(f"seed element {target} not in the sequence")
             seed = [flat.index(target)]
@@ -268,12 +272,11 @@ def _cmd_construct(spec: JobSpec):
 
 
 def _cmd_classify(spec: JobSpec):
-    p = spec.parameters
     (m,) = _int_params(spec, "m")
     ground = parse_ground_set(spec.ground) if spec.ground else None
     s = _parse_seq_param(spec, ground)
-    if p.get("M") is not None:
-        verdict = _inverse.classify_interval_max(m, int(p["M"]), s)
+    if spec.parameters.get("M") is not None:
+        verdict = _inverse.classify_interval_max(m, *_int_params(spec, "M"), s)
         which = "interval-max"
     elif s.length == 2 * m - 1:
         verdict = _inverse.classify_symmetric_max(m, s)
@@ -294,15 +297,15 @@ def _cmd_classify(spec: JobSpec):
 
 
 def _parse_range(text: str) -> list[int]:
-    """``a..b`` and ``k`` items joined by commas."""
+    """``a..b`` and ``k`` items joined by commas; whitespace is ignored."""
     out = []
     at = 0
-    for part in text.split(","):
+    for part in "".join(text.split()).split(","):
         lo, dots, hi = part.partition("..")
-        try:
-            out.extend(range(int(lo), int(hi) + 1) if dots else [int(part)])
-        except ValueError:
-            raise ParseError(f"bad range item {part.strip()!r}", at) from None
+        if dots:
+            out.extend(range(_number(lo, "range bound", at), _number(hi, "range bound", at) + 1))
+        else:
+            out.append(_number(part, "range item", at))
         at += len(part) + 1
     return out
 
@@ -349,12 +352,7 @@ def _cmd_verify(spec: JobSpec):
 
 
 def _cmd_hunt_chi_gap(spec: JobSpec):
-    p = spec.parameters
-    report = _search.hunt_chi_gap(
-        3 if p.get("abs") is None else int(p["abs"]),
-        3 if p.get("max_size") is None else int(p["max_size"]),
-        threads=spec.threads,
-    )
+    report = _search.hunt_chi_gap(*_int_params(spec, "abs", "max_size"), threads=spec.threads)
     return EXIT_OK, report, ["exploration"], True, None
 
 
@@ -379,8 +377,7 @@ def run(spec: JobSpec) -> tuple[int, dict]:
         raise ValidationError(f"unknown output format {spec.output!r}")
     if spec.output == "csv" and spec.command != "atoms":
         raise ValidationError("csv output is only available for atom lists")
-    if spec.threads < 0:
-        raise ValidationError(f"threads must be >= 0, got {spec.threads}")
+    check_threads(spec.threads)
     code, result, provenance, exact, stats = _HANDLERS[spec.command](spec)
     report = {
         "schema": SCHEMA,
@@ -439,6 +436,14 @@ def render(report: dict, output: str) -> str:
 # argument parsing
 
 
+def _integer(text: str) -> int:
+    """The ``type`` of every numeric option: a number of the grammar."""
+    try:
+        return _read_number(text, "number")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
@@ -455,7 +460,7 @@ def _build_parser() -> _Parser:
             cmd.add_argument("ground", nargs="?", default=None)
         cmd.add_argument("--format", choices=("json", "csv", "text"), default="json")
         cmd.add_argument("--no-stats", action="store_true")
-        cmd.add_argument("--threads", type=int, default=0, help="0 = auto")
+        cmd.add_argument("--threads", type=_integer, default=0, help="0 = auto")
         cmd.add_argument(
             "--emit-spec",
             action="store_true",
@@ -464,10 +469,10 @@ def _build_parser() -> _Parser:
         return cmd
 
     c = common(sub.add_parser("davenport", help="exact Davenport constant"))
-    c.add_argument("--cap", type=int, default=None, help="lower the search depth")
+    c.add_argument("--cap", type=_integer, default=None, help="lower the search depth")
 
     c = common(sub.add_parser("atoms", help="all atoms of one length"))
-    c.add_argument("--length", type=int, required=True)
+    c.add_argument("--length", type=_integer, required=True)
 
     c = common(sub.add_parser("check-minimal", help="zero-sum and minimality check"), "optional")
     c.add_argument("--seq", required=True)
@@ -485,17 +490,17 @@ def _build_parser() -> _Parser:
         required=True,
         choices=("two-element", "interval-max", "hypercube", "group-box"),
     )
-    c.add_argument("--x", type=int)
-    c.add_argument("--y", type=int)
-    c.add_argument("--m", type=int)
-    c.add_argument("--M", type=int)
-    c.add_argument("--d", type=int)
-    c.add_argument("--n", type=int)
+    c.add_argument("--x", type=_integer)
+    c.add_argument("--y", type=_integer)
+    c.add_argument("--m", type=_integer)
+    c.add_argument("--M", type=_integer)
+    c.add_argument("--d", type=_integer)
+    c.add_argument("--n", type=_integer)
 
     c = common(sub.add_parser("classify", help="inverse-structure classification"), "optional")
     c.add_argument("--seq", required=True)
-    c.add_argument("--m", type=int, required=True)
-    c.add_argument("--M", type=int, default=None)
+    c.add_argument("--m", type=_integer, required=True)
+    c.add_argument("--M", type=_integer, default=None)
 
     c = common(sub.add_parser("verify", help="exhaustive confirmations"), "none")
     c.add_argument("--inverse", action="store_true")
@@ -503,8 +508,8 @@ def _build_parser() -> _Parser:
     c.add_argument("--m", default=None, help="range, e.g. 2..5")
 
     c = common(sub.add_parser("hunt-chi-gap", help="search for chi < D examples"), "none")
-    c.add_argument("--abs", type=int, default=3)
-    c.add_argument("--max-size", type=int, default=3)
+    c.add_argument("--abs", type=_integer, default=3)
+    c.add_argument("--max-size", type=_integer, default=3)
 
     return parser
 

@@ -104,6 +104,13 @@ def resolve_guard(default: int) -> int:
     return guard
 
 
+def check_threads(threads: int) -> None:
+    """ValidationError unless ``threads``, a worker count, is an int >= 0
+    (0 means auto)."""
+    if type(threads) is not int or threads < 0:
+        raise ValidationError(f"threads must be an integer >= 0, got {threads!r}")
+
+
 def check_i64(value: int, context: str = "value") -> int:
     if value < I64_MIN or value > I64_MAX:
         raise OverflowGuardError(f"{context} {value} outside signed 64-bit range")

@@ -25,7 +25,7 @@ from enum import Enum
 from math import gcd
 
 from . import search as _search
-from .core import Interval, Sequence, ValidationError
+from .core import Interval, Sequence, ValidationError, check_threads
 
 
 class InverseCase(str, Enum):
@@ -141,6 +141,7 @@ def verify_inverse(ms, threads: int = 1) -> InverseReport:
     atoms of length m+M over [-m, M] must be exactly {M^m * (-m)^M}; the
     pairs are all coprime pairs drawn from ``ms``.
     """
+    check_threads(threads)
     ms = sorted(set(int(m) for m in ms))
     if not ms:
         raise ValidationError("no m values to verify")

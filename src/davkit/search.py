@@ -223,6 +223,9 @@ atom within the depth is longer.  The search stops at the first such
 atom.  Orderly generation visits multisets of equal length in increasing
 canonical-key order, so that first atom is also the deterministic witness
 (smallest key among the longest atoms) that the full tree would select.
+In a process pool the parent then signals the workers: a task that is
+running ends, one that starts later returns at once, and the workers
+exit on their own.
 When no atom reaches the depth the tree is exhausted, and its longest
 atom is again exact up to the depth.  Either way the results are exact
 values, not estimates; only the node, prune and closure counts depend on
@@ -245,6 +248,7 @@ from .core import (
     GroundSet,
     Sequence,
     ValidationError,
+    check_threads,
     enumerate_elements,
 )
 from .zerosum import is_minimal
@@ -623,16 +627,51 @@ def _search_sequential(
 
 # (space, depth_cap, mode) of a pool worker, set once by the pool initializer
 _worker: tuple[_Space, int, str] | None = None
+# a 'dav' worker's stop state: the stop signal sets _stopped, and ends the
+# task that is running (_running) with _Stopped
+_stopped = False
+_running = False
+
+
+class _Stopped(Exception):
+    """The search has its answer: the running task is not needed."""
+
+
+def _on_stop(signum, frame) -> None:
+    global _stopped
+    _stopped = True
+    if _running:  # never while the worker reads a task or puts a result
+        raise _Stopped
 
 
 def _init_worker(space: _Space, depth_cap: int, mode: str) -> None:
     global _worker
     _worker = (space, depth_cap, mode)
+    if mode == "dav":
+        import signal
+
+        signal.signal(signal.SIGUSR1, _on_stop)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGUSR1})
 
 
 def _parallel_task(j0: int):
     space, depth_cap, mode = _worker
     return _search_sequential(space, depth_cap, mode, j0, j0 + 1)
+
+
+def _stoppable_task(j0: int):
+    """A 'dav' pool task: None once the search is stopped, at once if it
+    starts after the stop."""
+    global _running
+    try:
+        _running = True
+        if not _stopped:
+            return _parallel_task(j0)
+    except _Stopped:
+        pass
+    finally:
+        _running = False
+    return None
 
 
 def _run_search(
@@ -647,8 +686,6 @@ def _run_search(
     workers only when the elements times the depth searched are many
     enough to pay for them.
     Returns (space, best_len, best_counts, collected, stats)."""
-    if threads < 0:
-        raise ValidationError(f"threads must be >= 0, got {threads}")
     space = _Space(ground, depth_cap)
     k = len(space.elems)
     if threads == 0:
@@ -660,15 +697,26 @@ def _run_search(
     collected = []
     stats = SearchStats()
     # imported here, not at the top: most runs never start a pool
+    import signal
     from multiprocessing import Pool
 
-    # leaving the block terminates the workers, so a 'dav' root that
-    # reaches the depth does not wait for the roots still running
-    with Pool(min(threads, k), _init_worker, (space, depth_cap, mode)) as pool:
+    # the workers start with the stop signal blocked, so that one sent
+    # before a 'dav' worker has set its handler waits for it
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGUSR1})
+    try:
+        pool = Pool(min(threads, k), _init_worker, (space, depth_cap, mode))
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    # leaving the block terminates the workers: safe once every task has
+    # ended, but a worker killed while it puts a result keeps the result
+    # queue's lock, and the pool then waits for it for ever
+    with pool:
         # merge in root order, as the sequential run visits them.  A 'dav'
         # root that reaches the depth ends that run too, so the roots after
-        # it are not summed.
-        for blen, bcounts, coll, st in pool.imap(_parallel_task, range(k)):
+        # it are not summed: the stop signal ends their tasks, and the
+        # workers exit before the block is left.
+        task = _stoppable_task if mode == "dav" else _parallel_task
+        for blen, bcounts, coll, st in pool.imap(task, range(k)):
             collected.extend(coll)
             stats.nodes += st.nodes
             stats.prunes += st.prunes
@@ -678,6 +726,10 @@ def _run_search(
             if blen > best_len:
                 best_len, best_counts = blen, bcounts
             if mode == "dav" and blen == depth_cap:
+                for worker in pool._pool:  # the pool's own processes
+                    os.kill(worker.pid, signal.SIGUSR1)
+                pool.close()
+                pool.join()
                 break
     return space, best_len, best_counts, collected, stats
 
@@ -705,6 +757,7 @@ def davenport(
     """
     if cap is not None and (type(cap) is not int or cap < 1):
         raise ValidationError(f"cap must be an integer >= 1, got {cap!r}")
+    check_threads(threads)
     t0 = perf_counter()
     bound = length_bound(ground)
     depth = bound if cap is None else min(cap, bound)
@@ -729,6 +782,7 @@ def atoms_of_length(
     re-certified by ``is_minimal`` (ConsistencyError if not)."""
     if length < 1:
         raise ValidationError("length must be >= 1")
+    check_threads(threads)
     bound = length_bound(ground)
     if length > bound:
         return []
@@ -766,6 +820,7 @@ def hunt_chi_gap(max_abs: int, max_size: int, threads: int = 1) -> dict:
     set whose pairwise lower bound is strictly below its exact Davenport
     constant.  No such example is known; none is asserted.
     """
+    check_threads(threads)
     if max_abs < 1 or max_size < 2:
         raise ValidationError("need max_abs >= 1 and max_size >= 2")
     universe = [v for v in range(-max_abs, max_abs + 1) if v != 0]

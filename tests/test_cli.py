@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from davkit import ground_bounds, parse_ground_set
+from davkit import ValidationError, ground_bounds, parse_ground_set
 from davkit import search as _search
 from davkit.cli import (
     EXIT_BROKEN_PIPE,
@@ -14,6 +14,7 @@ from davkit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     JobSpec,
+    _build_parser,
     main,
     run,
 )
@@ -254,12 +255,23 @@ class TestErrorsAndSpec:
             # only ASCII digits, with no underscores, are numbers of the grammar
             ["check-minimal", "--seq", "1_0*(-10)"],
             ["bounds", "[-\u0661,\u0662]"],
+            # so are the numbers of the options, --seed-element and --m ranges
+            ["davenport", "[-2,3]", "--cap", "\u0663"],
+            ["atoms", "[-2,2]", "--length", "0_2"],
+            ["construct", "--kind", "two-element", "--x", "1_0", "--y", "-3"],
+            ["classify", "--m", "3", "--M", "+4", "--seq", "4^3*(-3)^4"],
+            ["reorder", "--seq", "10*(-10)", "--seed-element", "1_0"],
+            ["verify", "--inverse", "--m", "2..\u0663"],
+            ["hunt-chi-gap", "--abs", "1_0"],
+            ["bounds", "[-2,3]", "--threads", "0_1"],
         ],
         ids=["group-factor", "missing-parameter", "range", "seed-element", "zero-abs",
              "negative-threads", "negative-threads-no-search", "negative-threads-bounds",
              "zero-cap", "negative-cap", "empty-range", "ground-and-group",
              "long-interval-bound", "long-power", "long-group-order", "long-multiplicity",
-             "long-element", "long-coordinate", "underscore-digits", "non-ascii-digits"],
+             "long-element", "long-coordinate", "underscore-digits", "non-ascii-digits",
+             "cap-non-ascii", "length-underscore", "construct-underscore", "classify-plus",
+             "seed-element-underscore", "range-non-ascii", "abs-underscore", "threads-underscore"],
     )
     def test_bad_parameter_is_usage_error(self, argv):
         proc = subprocess.run(
@@ -268,6 +280,17 @@ class TestErrorsAndSpec:
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    def test_no_option_reads_numbers_with_int(self):
+        # every numeric option goes through the grammar's reader
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        for name, parser in sub.choices.items():
+            assert [a.dest for a in parser._actions if a.type is int] == [], name
+
+    def test_parameter_that_is_not_an_int_is_validation_error(self):
+        # a JobSpec built by hand carries what it is given: no int() here
+        with pytest.raises(ValidationError, match="--length must be an integer"):
+            run(JobSpec("atoms", "[-2,2]", {"length": "3"}))
 
     def test_degenerate_axis_computes(self, capsys):
         code, out, _ = run_cli(capsys, "davenport", "[-1,1]x[0,0]", "--no-stats")

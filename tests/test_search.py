@@ -2,7 +2,10 @@ import functools
 import gc
 import itertools
 import multiprocessing
+import multiprocessing.pool
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -27,6 +30,7 @@ from davkit import (
     length_bound,
     max_atoms,
     parse_ground_set,
+    verify_inverse,
 )
 from davkit import search as _search
 from davkit.search import _run_search, _Space
@@ -170,6 +174,19 @@ class TestDavenport:
         with pytest.raises(ValidationError, match="cap"):
             davenport(Interval(-2, 3), cap=cap)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: davenport(Interval(1, 2), threads=-1),  # no atoms: no tree is searched
+         lambda: atoms_of_length(Interval(-1, 1), 5, threads=-1),  # above the bound
+         lambda: max_atoms(Interval(1, 2), threads=-1),
+         lambda: hunt_chi_gap(1, 2, threads=-1),
+         lambda: verify_inverse([1], threads=-1)],  # m = 1 lists no atoms
+        ids=["davenport", "atoms_of_length", "max_atoms", "hunt_chi_gap", "verify_inverse"],
+    )
+    def test_negative_threads_rejected_before_any_early_return(self, call):
+        with pytest.raises(ValidationError, match="threads"):
+            call()
+
 
 class TestEarlyStop:
     """A 'dav' search ends at its first atom as long as the depth."""
@@ -222,6 +239,74 @@ class TestEarlyStop:
         r = davenport(parse_ground_set("C6x[-1,1]"))
         assert r.exact and r.lower == 12
         assert r.stats.nodes == 11
+
+
+def _terminate_only_when_idle(real):
+    """Pool.terminate that fails while a worker is still alive."""
+    def terminate(pool):
+        alive = [w.pid for w in pool._pool if w.is_alive()]
+        assert not alive, f"terminate() while workers {alive} run"
+        real(pool)
+    return terminate
+
+
+class TestParallelStop:
+    """A 'dav' pool that stops early lets its workers finish, never kills them."""
+
+    def test_task_after_the_stop_searches_nothing(self, monkeypatch):
+        def search(j0):
+            raise AssertionError("a task after the stop searched")
+
+        monkeypatch.setattr(_search, "_parallel_task", search)
+        monkeypatch.setattr(_search, "_stopped", True)
+        assert _search._stoppable_task(3) is None
+        assert _search._running is False
+
+    def test_stop_signal_ends_the_running_task(self, monkeypatch):
+        # the handler, called as the signal would call it, mid-task
+        def search(j0):
+            assert _search._running
+            _search._on_stop(None, None)
+            raise AssertionError("the stop did not end the task")
+
+        monkeypatch.setattr(_search, "_parallel_task", search)
+        monkeypatch.setattr(_search, "_stopped", False)
+        assert _search._stoppable_task(3) is None
+        assert _search._stopped and not _search._running
+
+    def test_stop_signal_between_tasks_only_marks_the_stop(self, monkeypatch):
+        monkeypatch.setattr(_search, "_stopped", False)
+        _search._on_stop(None, None)  # no task runs: nothing to raise into
+        assert _search._stopped
+
+    def test_early_stop_never_terminates_running_workers(self, monkeypatch):
+        # root 0 reaches the depth; the roots after it would run for seconds
+        monkeypatch.setattr(_search, "_parallel_task", _slow_after_root_zero)
+        Pool = multiprocessing.pool.Pool
+        monkeypatch.setattr(Pool, "terminate", _terminate_only_when_idle(Pool.terminate))
+        ground = parse_ground_set("C6x[-1,1]")
+        b = davenport(ground, threads=2)
+        assert multiprocessing.active_children() == []
+        a = davenport(ground, threads=1)
+        a.stats.elapsed = b.stats.elapsed = 0.0
+        assert a == b
+
+    def test_many_early_stops_with_more_workers_than_cores(self):
+        # most of these sets stop at a root before the last, while other
+        # roots run; a pool that hangs fails on the timeout
+        code = (
+            "import itertools\n"
+            "from davkit import Element, Explicit, davenport\n"
+            "values = [v for v in range(-6, 7) if v]\n"
+            "sets = [c for c in itertools.combinations(values, 3) if min(c) < 0 < max(c)]\n"
+            "for c in sets[::2]:\n"
+            "    X = Explicit(tuple(Element((v,)) for v in c))\n"
+            "    a, b = davenport(X, threads=1), davenport(X, threads=3)\n"
+            "    a.stats.elapsed = b.stats.elapsed = 0.0\n"
+            "    assert a == b, c\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestAtomsOfLength:
