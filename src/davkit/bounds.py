@@ -4,17 +4,15 @@ structural bound ``length_bound`` that sizes the search depth.
 Every report carries machine-readable provenance tags naming the result
 that licensed each bound, so downstream output can state *why* a number
 is true without re-deriving it.  All arithmetic is exact: the box bound's
-rearrangement constant d + 1/d - 1 is evaluated as a rational before the
-floor is taken, and the logarithm in the group bound is bracketed between
-rationals until its floor is certain.
+floor of 2 (d + 1/d - 1) m is taken in integers, and the logarithm in the
+group bound is bracketed between rationals until its floor is certain.
+``fractions`` is imported only on that path.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .core import (
@@ -28,11 +26,12 @@ from .core import (
     GuardExceededError,
     Interval,
     ValidationError,
+    record,
     resolve_guard,
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoundReport:
     """A proven bracket [lower, upper].  GuardExceededError when upper has
     more bits than the bits guard allows, so that every bracket within
@@ -43,16 +42,17 @@ class BoundReport:
     exact: bool
     provenance: tuple[str, ...]
 
-    def __post_init__(self):
-        bits, cap = self.upper.bit_length(), resolve_guard(DEFAULT_BITS_CAP)
+    def __init__(self, lower: int, upper: int, exact: bool, provenance: tuple[str, ...]):
+        bits, cap = upper.bit_length(), resolve_guard(DEFAULT_BITS_CAP)
         if bits > cap:
             raise GuardExceededError(f"a bound of {bits} bits is above the guard of {cap}")
-        if self.lower > self.upper:
-            raise ValidationError(f"lower {self.lower} exceeds upper {self.upper}")
-        if self.exact and self.lower != self.upper:
+        if lower > upper:
+            raise ValidationError(f"lower {lower} exceeds upper {upper}")
+        if exact and lower != upper:
             raise ValidationError("exact report must have lower == upper")
-        if not self.provenance:
+        if not provenance:
             raise ValidationError("provenance must be nonempty")
+        self.__dict__.update(lower=lower, upper=upper, exact=exact, provenance=provenance)
 
     @property
     def value(self) -> int | None:
@@ -123,8 +123,8 @@ def box_upper(ms) -> int:
     d = ms.total()
     if d < 1 or min(ms) < 1:
         raise ValidationError("box half-widths must be >= 1")
-    constant = Fraction(d) + Fraction(1, d) - 1
-    factors = {m: int(2 * constant * m) + 1 for m in ms}
+    # floor(2 (d + 1/d - 1) m) = floor(2 m (d^2 - d + 1) / d)
+    factors = {m: 2 * m * (d * d - d + 1) // d + 1 for m in ms}
     bits = sum(factors[m].bit_length() * c for m, c in ms.items())
     cap = resolve_guard(DEFAULT_BITS_CAP)
     if bits > cap:
@@ -170,6 +170,8 @@ def _ln_bracket(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
     y = r.  The terms are positive, so a partial sum is a lower bound,
     and the tail is at most 2 t^(2n+1) / ((2n+1)(1 - t^2)).
     """
+    from fractions import Fraction
+
     k = 0
     while x >= 2:
         x /= 2
@@ -194,6 +196,8 @@ def log_upper(order: int, exponent: int) -> int:
     ends agree.  This ends because the logarithm of a rational q > 1 is
     irrational, so exponent * ln q is not an integer.
     """
+    from fractions import Fraction  # here only: no other bound needs it
+
     q = Fraction(order, exponent)
     terms = 4
     while True:

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import bounds as _bounds
 from . import constructions as _constructions
@@ -42,6 +41,7 @@ from .core import (
     parse_ground_set,
     parse_group,
     parse_sequence,
+    record,
     sequence_to_json,
 )
 
@@ -54,14 +54,30 @@ EXIT_CONSISTENCY = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer killed by it
 
 
-@dataclass
+@record
 class JobSpec:
     command: str
-    ground: str | None = None
-    parameters: dict = field(default_factory=dict)
-    output: str = "json"
-    no_stats: bool = False
-    threads: int = 0
+    ground: str | None
+    parameters: dict
+    output: str
+    no_stats: bool
+    threads: int
+
+    def __init__(
+        self,
+        command: str,
+        ground: str | None = None,
+        parameters: dict | None = None,
+        output: str = "json",
+        no_stats: bool = False,
+        threads: int = 0,
+    ):
+        self.command = command
+        self.ground = ground
+        self.parameters = {} if parameters is None else parameters  # one dict per job
+        self.output = output
+        self.no_stats = no_stats
+        self.threads = threads
 
     def to_json(self) -> dict:
         return {

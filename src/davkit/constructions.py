@@ -26,7 +26,6 @@ The families:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 
 from .core import (
@@ -38,6 +37,7 @@ from .core import (
     MixedElement,
     Sequence,
     ValidationError,
+    record,
     resolve_guard,
 )
 from .zerosum import is_minimal
@@ -46,7 +46,7 @@ from .zerosum import is_minimal
 CERTIFY_LENGTH_CAP = 200
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultiplicityProfile:
     """Distinct supports of a sequence with their repeat counts."""
 
@@ -205,7 +205,7 @@ def group_box_atom(n: int, m: int, d: int, certify: bool = True) -> Sequence:
     return _certify(s, f"group-box atom ({n},{m},{d})", certify)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PowerCheckReport:
     base_length: int
     power: int

@@ -20,12 +20,11 @@ proved statement, so it can only mean an implementation bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
 from . import search as _search
-from .core import Interval, Sequence, ValidationError, check_threads
+from .core import Interval, Sequence, ValidationError, check_threads, record
 
 
 class InverseCase(str, Enum):
@@ -39,14 +38,15 @@ class InverseCase(str, Enum):
     NONE = "NONE"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InverseVerdict:
     matches: bool
     case: InverseCase
 
-    def __post_init__(self):
-        if self.matches != (self.case is not InverseCase.NONE):
+    def __init__(self, matches: bool, case: InverseCase):
+        if matches != (case is not InverseCase.NONE):
             raise ValidationError("verdict flag inconsistent with its case tag")
+        self.__dict__.update(matches=matches, case=case)
 
 
 _NO_MATCH = InverseVerdict(False, InverseCase.NONE)
@@ -115,7 +115,7 @@ def classify_symmetric_submax(m: int, s: Sequence) -> InverseVerdict:
     return _NO_MATCH
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InverseCheck:
     name: str
     ok: bool
@@ -123,7 +123,7 @@ class InverseCheck:
     found: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InverseReport:
     checks: tuple[InverseCheck, ...]
 
@@ -139,17 +139,22 @@ def verify_inverse(ms, threads: int = 1) -> InverseReport:
     two maximal templates (m >= 2), and the atoms of length 2m-2 exactly
     the near-maximal list (m >= 3).  For each coprime (m, M) pair, the
     atoms of length m+M over [-m, M] must be exactly {M^m * (-m)^M}; the
-    pairs are all coprime pairs drawn from ``ms``.
+    pairs are all coprime pairs drawn from ``ms``, whose items must be
+    ints (ValidationError if not).
     """
     check_threads(threads)
-    ms = sorted(set(int(m) for m in ms))
+    ms = list(ms)
+    for m in ms:
+        if type(m) is not int:
+            raise ValidationError(f"m values must be integers, got {m!r}")
+    ms = sorted(set(ms))
     if not ms:
         raise ValidationError("no m values to verify")
     if any(m < 1 for m in ms):
         raise ValidationError("m values must be >= 1")
     checks: list[InverseCheck] = []
 
-    def record(name: str, expected: set[Sequence], found: list[Sequence]):
+    def add_check(name: str, expected: set[Sequence], found: list[Sequence]):
         checks.append(
             InverseCheck(
                 name,
@@ -164,16 +169,16 @@ def verify_inverse(ms, threads: int = 1) -> InverseReport:
         if m >= 2:
             expected = set(symmetric_max_templates(m))
             found = _search.atoms_of_length(ground, 2 * m - 1, threads=threads)
-            record(f"[-{m},{m}] length {2 * m - 1}", expected, found)
+            add_check(f"[-{m},{m}] length {2 * m - 1}", expected, found)
         if m >= 3:
             expected = set(symmetric_submax_templates(m).values())
             found = _search.atoms_of_length(ground, 2 * m - 2, threads=threads)
-            record(f"[-{m},{m}] length {2 * m - 2}", expected, found)
+            add_check(f"[-{m},{m}] length {2 * m - 2}", expected, found)
 
     pairs = [(m, M) for m in ms for M in ms if gcd(m, M) == 1]
     for m, M in pairs:
         expected = {Sequence.from_pairs([(M, m), (-m, M)])}
         found = _search.atoms_of_length(Interval(-m, M), m + M, threads=threads)
-        record(f"[-{m},{M}] length {m + M}", expected, found)
+        add_check(f"[-{m},{M}] length {m + M}", expected, found)
 
     return InverseReport(tuple(checks))

@@ -21,9 +21,7 @@ the interval).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import DavkitError, Sequence, ValidationError
+from .core import DavkitError, Sequence, ValidationError, record
 
 
 class ExtensionStuckError(DavkitError):
@@ -31,7 +29,7 @@ class ExtensionStuckError(DavkitError):
     was nonzero (or hit zero early): not minimal, or a bad seed."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ordering:
     """A permutation of a flattened sequence with its prefix sums.
 
@@ -46,7 +44,7 @@ class Ordering:
     prefix_sums: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ContainmentReport:
     min_prefix: int
     max_prefix: int

@@ -236,7 +236,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from time import perf_counter
 
 from . import bounds as _bounds
@@ -250,11 +249,12 @@ from .core import (
     ValidationError,
     check_threads,
     enumerate_elements,
+    record,
 )
 from .zerosum import is_minimal
 
 
-@dataclass
+@record
 class SearchStats:
     nodes: int = 0
     prunes: int = 0
@@ -262,7 +262,7 @@ class SearchStats:
     elapsed: float = 0.0
 
 
-@dataclass
+@record
 class DavenportResult:
     """Exact value or proven bracket for the largest atom length.
 

@@ -39,7 +39,6 @@ oracle for the pruned search engine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 from .core import (
@@ -48,6 +47,7 @@ from .core import (
     GuardExceededError,
     Sequence,
     ValidationError,
+    record,
     resolve_guard,
 )
 
@@ -61,7 +61,7 @@ class StateSpaceCapError(GuardExceededError):
     """The masks of the minimality DP would exceed their guard."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubsumWitness:
     """A nonempty proper zero-sum sub-multiset certifying non-minimality."""
 

@@ -139,3 +139,9 @@ class TestVerifyInverse:
         # no checks at all would read as a vacuous "ok"
         with pytest.raises(ValidationError, match="no m values"):
             verify_inverse([])
+
+    @pytest.mark.parametrize("bad", [2.9, "3", True, None])
+    def test_non_integer_m_is_rejected(self, bad):
+        # int() would check m = 2 for 2.9 and m = 3 for "3"
+        with pytest.raises(ValidationError, match="m values must be integers"):
+            verify_inverse([3, bad])

@@ -1,9 +1,12 @@
 """The package's public names, and its submodules that run on first use."""
 
 import importlib
+import json
 import subprocess
 import sys
 import types
+
+import pytest
 
 import davkit
 
@@ -84,3 +87,38 @@ def test_import_runs_no_submodule():
     assert registered == str(sorted(f"davkit.{m}" for m in EXPORTS))
     assert before == "[]"
     assert after == str(["davkit.bounds", "davkit.core"])
+
+
+# what a davkit process must not import: dataclasses imports inspect, and
+# with it ast, dis and tokenize; fractions serves only the group log bound
+SLOW_IMPORTS = ["dataclasses", "inspect", "fractions"]
+STARTUP_CHILD = (
+    "import json, sys\n"
+    "before = set(sys.modules)\n"
+    "import davkit.cli\n"
+    "code = davkit.cli.main(sys.argv[1:])\n"
+    f"slow = {SLOW_IMPORTS!r}\n"
+    "print(json.dumps([code, sorted(n for n in set(sys.modules) - before if n in slow)]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, allowed",
+    [
+        (["bounds", "[-2,3]"], []),
+        (["check-minimal", "--seq", "2*(-1)^2"], []),
+        (["davenport", "[-2,3]"], []),
+        (["atoms", "[-2,2]", "--length", "3"], []),
+        (["bounds", "--group", "C2xC4"], ["fractions"]),
+        (["bounds", "--group", "C2xC2xC6"], ["fractions"]),  # the log bound
+    ],
+    ids=["bounds", "check-minimal", "davenport", "atoms", "bounds-group", "bounds-log"],
+)
+def test_startup_imports(argv, allowed):
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHILD, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert set(imported) <= set(allowed), imported
