@@ -41,7 +41,6 @@ from .core import (
     parse_ground_set,
     parse_group,
     parse_sequence,
-    record,
     sequence_to_json,
 )
 
@@ -52,54 +51,6 @@ EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_CONSISTENCY = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer killed by it
-
-
-@record
-class JobSpec:
-    command: str
-    ground: str | None
-    parameters: dict
-    output: str
-    no_stats: bool
-    threads: int
-
-    def __init__(
-        self,
-        command: str,
-        ground: str | None = None,
-        parameters: dict | None = None,
-        output: str = "json",
-        no_stats: bool = False,
-        threads: int = 0,
-    ):
-        self.command = command
-        self.ground = ground
-        self.parameters = {} if parameters is None else parameters  # one dict per job
-        self.output = output
-        self.no_stats = no_stats
-        self.threads = threads
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "command": self.command,
-            "ground": self.ground,
-            "parameters": self.parameters,
-            "output": self.output,
-            "no_stats": self.no_stats,
-            "threads": self.threads,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "JobSpec":
-        return cls(
-            command=data["command"],
-            ground=data.get("ground"),
-            parameters=dict(data.get("parameters") or {}),
-            output=data.get("output", "json"),
-            no_stats=bool(data.get("no_stats", False)),
-            threads=data.get("threads", 0),
-        )
 
 
 def _stats_json(stats: _search.SearchStats) -> dict:
@@ -115,16 +66,10 @@ def _print_progress(nodes: int, best: int) -> None:
     print(f"progress: nodes={nodes} best={best}", file=sys.stderr, flush=True)
 
 
-def _require_ground(spec: JobSpec) -> GroundSet:
-    if not spec.ground:
-        raise ValidationError(f"command {spec.command!r} needs a ground set")
-    return parse_ground_set(spec.ground)
-
-
-def _int_params(spec: JobSpec, *names: str) -> list[int]:
+def _int_params(p: dict, *names: str) -> list[int]:
     """The named parameters, ints as the parser read them; ValidationError
-    if one is missing or, in a JobSpec built by hand, is not an int."""
-    values = [spec.parameters.get(name) for name in names]
+    if one is missing or, in a job built by hand, is not an int."""
+    values = [p.get(name) for name in names]
     for name, value in zip(names, values):
         if value is None:
             raise ValidationError(f"missing --{name}")
@@ -138,9 +83,9 @@ def _read_number(text: str, what: str, pos: int | None = None) -> int:
     return _number("".join(text.split()), what, pos)
 
 
-def _parse_seq_param(spec: JobSpec, ground: GroundSet | None) -> Sequence:
-    text = spec.parameters.get("seq")
-    if not text:
+def _parse_seq_param(p: dict, ground: GroundSet | None) -> Sequence:
+    text = p.get("seq")
+    if text is None:
         raise ValidationError("missing --seq")
     group = ground.group if isinstance(ground, GroupProduct) else None
     s = parse_sequence(text, group=group)
@@ -152,13 +97,12 @@ def _parse_seq_param(spec: JobSpec, ground: GroundSet | None) -> Sequence:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (exit_code, result, provenance, exact, stats)
+# command handlers: each takes (parameters, ground set or None, threads) and
+# returns (exit_code, result, provenance, exact, stats)
 
 
-def _cmd_davenport(spec: JobSpec):
-    ground = _require_ground(spec)
-    cap = spec.parameters.get("cap")
-    result = _search.davenport(ground, cap=cap, threads=spec.threads, progress=_print_progress)
+def _cmd_davenport(p: dict, ground: GroundSet, threads: int):
+    result = _search.davenport(ground, cap=p.get("cap"), threads=threads, progress=_print_progress)
     payload = {
         "value": result.lower if result.exact else None,
         "lower": result.lower,
@@ -169,10 +113,9 @@ def _cmd_davenport(spec: JobSpec):
     return EXIT_OK, payload, list(result.provenance), result.exact, _stats_json(result.stats)
 
 
-def _cmd_atoms(spec: JobSpec):
-    ground = _require_ground(spec)
-    (length,) = _int_params(spec, "length")
-    atoms = _search.atoms_of_length(ground, length, threads=spec.threads)
+def _cmd_atoms(p: dict, ground: GroundSet, threads: int):
+    (length,) = _int_params(p, "length")
+    atoms = _search.atoms_of_length(ground, length, threads=threads)
     payload = {
         "length": length,
         "count": len(atoms),
@@ -181,9 +124,8 @@ def _cmd_atoms(spec: JobSpec):
     return EXIT_OK, payload, ["exhaustive-search"], True, None
 
 
-def _cmd_check_minimal(spec: JobSpec):
-    ground = parse_ground_set(spec.ground) if spec.ground else None
-    s = _parse_seq_param(spec, ground)
+def _cmd_check_minimal(p: dict, ground: GroundSet | None, threads: int):
+    s = _parse_seq_param(p, ground)
     zero = _zerosum.is_zero_sum(s)
     witness = _zerosum.find_proper_zero_subsum(s) if zero else None
     payload = {
@@ -195,12 +137,11 @@ def _cmd_check_minimal(spec: JobSpec):
     return EXIT_OK, payload, ["reachable-sum-dp"], True, None
 
 
-def _cmd_reorder(spec: JobSpec):
-    ground = parse_ground_set(spec.ground) if spec.ground else None
-    s = _parse_seq_param(spec, ground)
+def _cmd_reorder(p: dict, ground: GroundSet | None, threads: int):
+    s = _parse_seq_param(p, ground)
     if s.dim == 1 and not s.is_mixed:
         flat = [e.coords[0] for e in s.flatten()]
-        if (seed_text := spec.parameters.get("seed_element")) is not None:
+        if (seed_text := p.get("seed_element")) is not None:
             target = _read_number(seed_text, "seed element", 0)
             if target not in flat:
                 raise ValidationError(f"seed element {target} not in the sequence")
@@ -241,15 +182,16 @@ def _cmd_reorder(spec: JobSpec):
     return EXIT_OK, payload, ["greedy-heuristic"], True, None
 
 
-def _cmd_bounds(spec: JobSpec):
-    group_text = spec.parameters.get("group")
-    if group_text and spec.ground:
+def _cmd_bounds(p: dict, ground: GroundSet | None, threads: int):
+    group_text = p.get("group")
+    if group_text is not None and ground is not None:
         raise ValidationError("bounds takes a ground set or --group, not both")
-    if group_text:
+    if group_text is not None:
         report = _bounds.group_davenport(parse_group(group_text))
         subject = {"group": group_text}
+    elif ground is None:
+        raise ValidationError("command 'bounds' needs a ground set")
     else:
-        ground = _require_ground(spec)
         report = _bounds.ground_bounds(ground)
         subject = {"ground": emit_ground_set(ground)}
     payload = {
@@ -262,37 +204,37 @@ def _cmd_bounds(spec: JobSpec):
     return EXIT_OK, payload, list(report.provenance), report.exact, None
 
 
-def _cmd_construct(spec: JobSpec):
-    kind = spec.parameters.get("kind")
-    if kind == "two-element":
-        s = _constructions.two_element_atom(*_int_params(spec, "x", "y"))
-        provenance = ["two-support-atom"]
-    elif kind == "interval-max":
-        s = _constructions.interval_max_atom(*_int_params(spec, "m", "M"))
-        provenance = ["max-interval-atom"]
-    elif kind == "hypercube":
-        s = _constructions.hypercube_atom(*_int_params(spec, "m", "d"))
-        provenance = ["hypercube-construction-lower"]
-    elif kind == "group-box":
-        s = _constructions.group_box_atom(*_int_params(spec, "n", "m", "d"))
-        provenance = ["cyclic-product-cube-lower"]
-    else:
+# construction kind -> (the name of its function in davkit.constructions,
+# looked up on use so that the module runs only for construct; the
+# function's parameters; provenance)
+_CONSTRUCTIONS = {
+    "two-element": ("two_element_atom", ("x", "y"), "two-support-atom"),
+    "interval-max": ("interval_max_atom", ("m", "M"), "max-interval-atom"),
+    "hypercube": ("hypercube_atom", ("m", "d"), "hypercube-construction-lower"),
+    "group-box": ("group_box_atom", ("n", "m", "d"), "cyclic-product-cube-lower"),
+}
+
+
+def _cmd_construct(p: dict, ground: None, threads: int):
+    kind = p.get("kind")
+    if type(kind) is not str or kind not in _CONSTRUCTIONS:  # a job's JSON may hold a list
         raise ValidationError(f"unknown construction kind {kind!r}")
+    function, names, provenance = _CONSTRUCTIONS[kind]
+    s = getattr(_constructions, function)(*_int_params(p, *names))
     payload = {
         "kind": kind,
         "sequence": sequence_to_json(s),
         "length": s.length,
         "certified": _constructions.is_certifiable(s),
     }
-    return EXIT_OK, payload, provenance, True, None
+    return EXIT_OK, payload, [provenance], True, None
 
 
-def _cmd_classify(spec: JobSpec):
-    (m,) = _int_params(spec, "m")
-    ground = parse_ground_set(spec.ground) if spec.ground else None
-    s = _parse_seq_param(spec, ground)
-    if spec.parameters.get("M") is not None:
-        verdict = _inverse.classify_interval_max(m, *_int_params(spec, "M"), s)
+def _cmd_classify(p: dict, ground: GroundSet | None, threads: int):
+    (m,) = _int_params(p, "m")
+    s = _parse_seq_param(p, ground)
+    if p.get("M") is not None:
+        verdict = _inverse.classify_interval_max(m, *_int_params(p, "M"), s)
         which = "interval-max"
     elif s.length == 2 * m - 1:
         verdict = _inverse.classify_symmetric_max(m, s)
@@ -326,8 +268,7 @@ def _parse_range(text: str) -> list[int]:
     return out
 
 
-def _cmd_verify(spec: JobSpec):
-    p = spec.parameters
+def _cmd_verify(p: dict, ground: None, threads: int):
     do_inverse = bool(p.get("inverse"))
     do_powers = bool(p.get("powers"))
     if not do_inverse and not do_powers:
@@ -335,8 +276,8 @@ def _cmd_verify(spec: JobSpec):
     checks = []
     ok = True
     if do_inverse:
-        ms = _parse_range(p.get("m") or "2..5")
-        report = _inverse.verify_inverse(ms, threads=spec.threads)
+        m = p.get("m")
+        report = _inverse.verify_inverse(_parse_range("2..5" if m is None else m), threads=threads)
         ok = ok and report.ok
         for c in report.checks:
             checks.append(
@@ -367,43 +308,103 @@ def _cmd_verify(spec: JobSpec):
     return code, payload, ["exhaustive-enumeration"], ok, None
 
 
-def _cmd_hunt_chi_gap(spec: JobSpec):
-    report = _search.hunt_chi_gap(*_int_params(spec, "abs", "max_size"), threads=spec.threads)
+def _cmd_hunt_chi_gap(p: dict, ground: None, threads: int):
+    report = _search.hunt_chi_gap(*_int_params(p, "abs", "max_size"), threads=threads)
     return EXIT_OK, report, ["exploration"], True, None
 
 
-_HANDLERS = {
-    "davenport": _cmd_davenport,
-    "atoms": _cmd_atoms,
-    "check-minimal": _cmd_check_minimal,
-    "reorder": _cmd_reorder,
-    "bounds": _cmd_bounds,
-    "construct": _cmd_construct,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "hunt-chi-gap": _cmd_hunt_chi_gap,
+# ---------------------------------------------------------------------------
+# the command table
+
+
+def _integer(text: str) -> int:
+    """The ``type`` of every numeric option: a number of the grammar."""
+    try:
+        return _read_number(text, "number")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_INT = {"type": _integer}
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": _integer, "required": True}
+_FLAG = {"action": "store_true"}
+
+# name -> (handler, help line, ground set: "required", "optional" or "none",
+# own options).  The options map a dest to its add_argument keywords; the
+# flag is --dest, "_" written "-".  A job's parameters are the options
+# given, in this order.
+COMMANDS = {
+    "davenport": (
+        _cmd_davenport, "exact Davenport constant", "required",
+        {"cap": {**_INT, "help": "lower the search depth"}},
+    ),
+    "atoms": (_cmd_atoms, "all atoms of one length", "required", {"length": _REQUIRED_INT}),
+    "check-minimal": (
+        _cmd_check_minimal, "zero-sum and minimality check", "optional", {"seq": _REQUIRED},
+    ),
+    "reorder": (
+        _cmd_reorder, "prefix-sum reordering", "optional", {"seq": _REQUIRED, "seed_element": {}},
+    ),
+    "bounds": (
+        _cmd_bounds, "closed-form bounds", "optional",
+        {"group": {"help": "group spec, e.g. C2xC4"}},
+    ),
+    "construct": (
+        _cmd_construct, "extremal sequences", "none",
+        {
+            "kind": {**_REQUIRED, "choices": tuple(_CONSTRUCTIONS)},
+            **dict.fromkeys(("x", "y", "m", "M", "d", "n"), _INT),
+        },
+    ),
+    "classify": (
+        _cmd_classify, "inverse-structure classification", "optional",
+        {"seq": _REQUIRED, "m": _REQUIRED_INT, "M": _INT},
+    ),
+    "verify": (
+        _cmd_verify, "exhaustive confirmations", "none",
+        {"inverse": _FLAG, "powers": _FLAG, "m": {"help": "range, e.g. 2..5"}},
+    ),
+    "hunt-chi-gap": (
+        _cmd_hunt_chi_gap, "search for chi < D examples", "none",
+        {"abs": {**_INT, "default": 3}, "max_size": {**_INT, "default": 3}},
+    ),
 }
 
 
-def run(spec: JobSpec) -> tuple[int, dict]:
-    """Dispatch a job and build the full report envelope."""
-    if spec.command not in _HANDLERS:
-        raise ValidationError(f"unknown command {spec.command!r}")
-    if spec.output not in ("json", "csv", "text"):
-        raise ValidationError(f"unknown output format {spec.output!r}")
-    if spec.output == "csv" and spec.command != "atoms":
+def run(job: dict) -> tuple[int, dict]:
+    """Run a job and build the full report envelope.
+
+    A job is the JSON object that ``--emit-spec`` prints.  Only its
+    ``command`` is required: ``ground`` defaults to None, ``parameters``
+    to {}, ``output`` to "json", ``no_stats`` to false and ``threads`` to
+    0 (auto).  The job itself is not changed."""
+    command = job.get("command")
+    if command not in COMMANDS:
+        raise ValidationError(f"unknown command {command!r}")
+    output = job.get("output", "json")
+    if output not in ("json", "csv", "text"):
+        raise ValidationError(f"unknown output format {output!r}")
+    if output == "csv" and command != "atoms":
         raise ValidationError("csv output is only available for atom lists")
-    check_threads(spec.threads)
-    code, result, provenance, exact, stats = _HANDLERS[spec.command](spec)
+    threads = job.get("threads", 0)
+    check_threads(threads)
+    handler, _, takes_ground, _ = COMMANDS[command]
+    text = job.get("ground")
+    if text is None and takes_ground == "required":
+        raise ValidationError(f"command {command!r} needs a ground set")
+    ground = None if text is None or takes_ground == "none" else parse_ground_set(text)
+    parameters = dict(job.get("parameters") or {})
+    code, result, provenance, exact, stats = handler(parameters, ground, threads)
     report = {
         "schema": SCHEMA,
-        "command": spec.command,
-        "input": {"ground": spec.ground, "parameters": spec.parameters},
+        "command": command,
+        "input": {"ground": text, "parameters": parameters},
         "exact": exact,
         "result": result,
         "provenance": provenance,
     }
-    if stats is not None and not spec.no_stats:
+    if stats is not None and not job.get("no_stats"):
         report["stats"] = stats
     return code, report
 
@@ -452,27 +453,23 @@ def render(report: dict, output: str) -> str:
 # argument parsing
 
 
-def _integer(text: str) -> int:
-    """The ``type`` of every numeric option: a number of the grammar."""
-    try:
-        return _read_number(text, "number")
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None) -> _Parser:
+    """The parser of every command's name and help line, with the options
+    of ``command`` alone: a process runs one command."""
     parser = _Parser(prog="davkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(cmd, ground="required"):
-        if ground == "required":
+    for name, (_, help_line, takes_ground, options) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_line)
+        if name != command:
+            continue
+        if takes_ground == "required":
             cmd.add_argument("ground", help="ground-set spec, e.g. '[-2,3]' or 'C2x[-1,1]'")
-        elif ground == "optional":
+        elif takes_ground == "optional":
             cmd.add_argument("ground", nargs="?", default=None)
         cmd.add_argument("--format", choices=("json", "csv", "text"), default="json")
         cmd.add_argument("--no-stats", action="store_true")
@@ -480,86 +477,39 @@ def _build_parser() -> _Parser:
         cmd.add_argument(
             "--emit-spec",
             action="store_true",
-            help="print the JobSpec reproducing this run instead of running it",
+            help="print the job (JSON) reproducing this run instead of running it",
         )
-        return cmd
-
-    c = common(sub.add_parser("davenport", help="exact Davenport constant"))
-    c.add_argument("--cap", type=_integer, default=None, help="lower the search depth")
-
-    c = common(sub.add_parser("atoms", help="all atoms of one length"))
-    c.add_argument("--length", type=_integer, required=True)
-
-    c = common(sub.add_parser("check-minimal", help="zero-sum and minimality check"), "optional")
-    c.add_argument("--seq", required=True)
-
-    c = common(sub.add_parser("reorder", help="prefix-sum reordering"), "optional")
-    c.add_argument("--seq", required=True)
-    c.add_argument("--seed-element", default=None)
-
-    c = common(sub.add_parser("bounds", help="closed-form bounds"), "optional")
-    c.add_argument("--group", default=None, help="group spec, e.g. C2xC4")
-
-    c = common(sub.add_parser("construct", help="extremal sequences"), "none")
-    c.add_argument(
-        "--kind",
-        required=True,
-        choices=("two-element", "interval-max", "hypercube", "group-box"),
-    )
-    c.add_argument("--x", type=_integer)
-    c.add_argument("--y", type=_integer)
-    c.add_argument("--m", type=_integer)
-    c.add_argument("--M", type=_integer)
-    c.add_argument("--d", type=_integer)
-    c.add_argument("--n", type=_integer)
-
-    c = common(sub.add_parser("classify", help="inverse-structure classification"), "optional")
-    c.add_argument("--seq", required=True)
-    c.add_argument("--m", type=_integer, required=True)
-    c.add_argument("--M", type=_integer, default=None)
-
-    c = common(sub.add_parser("verify", help="exhaustive confirmations"), "none")
-    c.add_argument("--inverse", action="store_true")
-    c.add_argument("--powers", action="store_true")
-    c.add_argument("--m", default=None, help="range, e.g. 2..5")
-
-    c = common(sub.add_parser("hunt-chi-gap", help="search for chi < D examples"), "none")
-    c.add_argument("--abs", type=_integer, default=3)
-    c.add_argument("--max-size", type=_integer, default=3)
-
+        for dest, keywords in options.items():
+            cmd.add_argument("--" + dest.replace("_", "-"), **keywords)
     return parser
 
 
-# the options every command takes; the rest of a namespace is the
-# command's own parameters, in declaration order
-_COMMON_KEYS = ("command", "ground", "format", "no_stats", "threads", "emit_spec")
-
-
-def job_from_args(args: argparse.Namespace) -> JobSpec:
-    params = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in _COMMON_KEYS and value is not None and value is not False
-    }
-    return JobSpec(
-        command=args.command,
-        ground=getattr(args, "ground", None),
-        parameters=params,
-        output=args.format,
-        no_stats=args.no_stats,
-        threads=args.threads,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
-        spec = job_from_args(args)
-        if args.emit_spec:
-            code, text = EXIT_OK, json.dumps(spec.to_json(), indent=2)
+        # davkit itself takes no option but --help, so the first word that
+        # is not an option names the command
+        command = next((word for word in argv if not word.startswith("-")), None)
+        args = vars(_build_parser(command).parse_args(argv))
+        _, _, _, options = COMMANDS[args["command"]]
+        job = {
+            "schema": SCHEMA,
+            "command": args["command"],
+            "ground": args.get("ground"),
+            "parameters": {
+                dest: value
+                for dest in options
+                if (value := args[dest]) is not None and value is not False
+            },
+            "output": args["format"],
+            "no_stats": args["no_stats"],
+            "threads": args["threads"],
+        }
+        if args["emit_spec"]:
+            code, text = EXIT_OK, json.dumps(job, indent=2)
         else:
-            code, report = run(spec)
-            text = render(report, spec.output)
+            code, report = run(job)
+            text = render(report, job["output"])
         print(text)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -21,12 +21,13 @@ the interval).
 
 from __future__ import annotations
 
-from .core import DavkitError, Sequence, ValidationError, record
+from .core import Sequence, ValidationError, record
 
 
-class ExtensionStuckError(DavkitError):
+class ExtensionStuckError(ValidationError):
     """Greedy extension found no opposite-sign element while the prefix sum
-    was nonzero (or hit zero early): not minimal, or a bad seed."""
+    was nonzero (or hit zero early): the input is not minimal, or the seed
+    is bad."""
 
 
 @record(frozen=True)

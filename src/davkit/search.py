@@ -627,8 +627,8 @@ def _search_sequential(
 
 # (space, depth_cap, mode) of a pool worker, set once by the pool initializer
 _worker: tuple[_Space, int, str] | None = None
-# a 'dav' worker's stop state: the stop signal sets _stopped, and ends the
-# task that is running (_running) with _Stopped
+# a worker's stop state: the stop signal sets _stopped, and ends the task
+# that is running (_running) with _Stopped
 _stopped = False
 _running = False
 
@@ -645,28 +645,22 @@ def _on_stop(signum, frame) -> None:
 
 
 def _init_worker(space: _Space, depth_cap: int, mode: str) -> None:
+    import signal
+
     global _worker
     _worker = (space, depth_cap, mode)
-    if mode == "dav":
-        import signal
-
-        signal.signal(signal.SIGUSR1, _on_stop)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGUSR1})
+    signal.signal(signal.SIGUSR1, _on_stop)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGUSR1})
 
 
 def _parallel_task(j0: int):
-    space, depth_cap, mode = _worker
-    return _search_sequential(space, depth_cap, mode, j0, j0 + 1)
-
-
-def _stoppable_task(j0: int):
-    """A 'dav' pool task: None once the search is stopped, at once if it
-    starts after the stop."""
+    """The search below root j0: None once the search is stopped, at once
+    if the task starts after the stop.  Only a 'dav' search is stopped."""
     global _running
     try:
         _running = True
         if not _stopped:
-            return _parallel_task(j0)
+            return _search_sequential(*_worker, j0, j0 + 1)
     except _Stopped:
         pass
     finally:
@@ -701,7 +695,7 @@ def _run_search(
     from multiprocessing import Pool
 
     # the workers start with the stop signal blocked, so that one sent
-    # before a 'dav' worker has set its handler waits for it
+    # before a worker has set its handler waits for it
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGUSR1})
     try:
         pool = Pool(min(threads, k), _init_worker, (space, depth_cap, mode))
@@ -715,8 +709,7 @@ def _run_search(
         # root that reaches the depth ends that run too, so the roots after
         # it are not summed: the stop signal ends their tasks, and the
         # workers exit before the block is left.
-        task = _stoppable_task if mode == "dav" else _parallel_task
-        for blen, bcounts, coll, st in pool.imap(task, range(k)):
+        for blen, bcounts, coll, st in pool.imap(_parallel_task, range(k)):
             collected.extend(coll)
             stats.nodes += st.nodes
             stats.prunes += st.prunes

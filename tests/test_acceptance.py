@@ -28,7 +28,7 @@ from davkit import (
     parse_ground_set,
     power_subsequence_check,
 )
-from davkit.cli import EXIT_OK, JobSpec, run
+from davkit.cli import EXIT_OK, run
 from davkit.inverse import symmetric_max_templates, symmetric_submax_templates
 from davkit.search import all_atoms
 
@@ -51,13 +51,12 @@ def test_criterion_1_interval_exactness():
     for m in range(1, 12):
         for M in range(1, 13 - m):
             code, report = run(
-                JobSpec(
-                    command="davenport",
-                    ground=f"[-{m},{M}]",
-                    parameters={},
-                    no_stats=True,
-                    threads=1,
-                )
+                {
+                    "command": "davenport",
+                    "ground": f"[-{m},{M}]",
+                    "no_stats": True,
+                    "threads": 1,
+                }
             )
             assert code == EXIT_OK
             assert report["exact"] is True

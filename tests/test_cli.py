@@ -5,15 +5,17 @@ import sys
 
 import pytest
 
-from davkit import ValidationError, ground_bounds, parse_ground_set
+import davkit
+from davkit import DavkitError, ValidationError, ground_bounds, parse_ground_set
+from davkit import cli as _cli
 from davkit import search as _search
 from davkit.cli import (
+    COMMANDS,
     EXIT_BROKEN_PIPE,
     EXIT_CONSISTENCY,
     EXIT_GUARD,
     EXIT_OK,
     EXIT_USAGE,
-    JobSpec,
     _build_parser,
     main,
     run,
@@ -264,6 +266,12 @@ class TestErrorsAndSpec:
             ["verify", "--inverse", "--m", "2..\u0663"],
             ["hunt-chi-gap", "--abs", "1_0"],
             ["bounds", "[-2,3]", "--threads", "0_1"],
+            # a sequence that is not an atom has no sign-opposing order
+            ["reorder", "--seq", "1*2"],
+            ["reorder", "--seq", "1^2*(-1)^2"],
+            # an empty value is read, not taken for a missing option
+            ["verify", "--inverse", "--m", ""],
+            ["bounds", "--group", ""],
         ],
         ids=["group-factor", "missing-parameter", "range", "seed-element", "zero-abs",
              "negative-threads", "negative-threads-no-search", "negative-threads-bounds",
@@ -271,7 +279,9 @@ class TestErrorsAndSpec:
              "long-interval-bound", "long-power", "long-group-order", "long-multiplicity",
              "long-element", "long-coordinate", "underscore-digits", "non-ascii-digits",
              "cap-non-ascii", "length-underscore", "construct-underscore", "classify-plus",
-             "seed-element-underscore", "range-non-ascii", "abs-underscore", "threads-underscore"],
+             "seed-element-underscore", "range-non-ascii", "abs-underscore", "threads-underscore",
+             "reorder-no-opposite-sign", "reorder-prefix-zero", "empty-m-value",
+             "empty-group-value"],
     )
     def test_bad_parameter_is_usage_error(self, argv):
         proc = subprocess.run(
@@ -283,14 +293,41 @@ class TestErrorsAndSpec:
 
     def test_no_option_reads_numbers_with_int(self):
         # every numeric option goes through the grammar's reader
-        sub = next(a for a in _build_parser()._actions if a.dest == "command")
-        for name, parser in sub.choices.items():
-            assert [a.dest for a in parser._actions if a.type is int] == [], name
+        for command in COMMANDS:
+            parser = _subparsers(_build_parser(command))[command]
+            assert [a.dest for a in parser._actions if a.type is int] == [], command
 
     def test_parameter_that_is_not_an_int_is_validation_error(self):
-        # a JobSpec built by hand carries what it is given: no int() here
+        # a job built by hand carries what it is given: no int() here
         with pytest.raises(ValidationError, match="--length must be an integer"):
-            run(JobSpec("atoms", "[-2,2]", {"length": "3"}))
+            run({"command": "atoms", "ground": "[-2,2]", "parameters": {"length": "3"}})
+
+    def test_every_davkit_error_exits_with_a_documented_code(self, capsys, monkeypatch):
+        # each error class that a davkit module defines, raised inside a job
+        for name in davkit.__all__:
+            getattr(davkit, name)  # runs every lazily loaded module
+        classes, todo = [], [DavkitError]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                todo.append(sub)
+                if sub.__module__.startswith("davkit."):
+                    classes.append(sub)
+        assert len(classes) >= 8
+        prefixes = {
+            EXIT_USAGE: "error:", EXIT_GUARD: "guard:", EXIT_CONSISTENCY: "consistency failure:"
+        }
+        for cls in classes:
+            exc = cls.__new__(cls)  # some take their own arguments; the message is enough
+            Exception.__init__(exc, "raised")
+
+            def fail(threads, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(_cli, "check_threads", fail)
+            code = main(["bounds", "[-1,2]"])
+            err = capsys.readouterr().err
+            assert code in prefixes, cls.__name__
+            assert err == f"{prefixes[code]} raised\n", cls.__name__
 
     def test_degenerate_axis_computes(self, capsys):
         code, out, _ = run_cli(capsys, "davenport", "[-1,1]x[0,0]", "--no-stats")
@@ -376,22 +413,77 @@ class TestErrorsAndSpec:
             capsys, "atoms", "[-2,2]", "--length", "3", "--no-stats", "--emit-spec"
         )
         assert code == EXIT_OK
-        spec = JobSpec.from_json(json.loads(out))
-        rebuilt_code, rebuilt = run(spec)
+        rebuilt_code, rebuilt = run(json.loads(out))
         direct_code, direct = run(
-            JobSpec(
-                command="atoms",
-                ground="[-2,2]",
-                parameters={"length": 3},
-                no_stats=True,
-            )
+            {
+                "command": "atoms",
+                "ground": "[-2,2]",
+                "parameters": {"length": 3},
+                "no_stats": True,
+            }
         )
         assert rebuilt_code == direct_code == EXIT_OK
         assert rebuilt == direct
 
+    def test_job_defaults_and_the_callers_job_is_unchanged(self):
+        job = {"command": "davenport", "ground": "[-2,3]"}
+        code, report = run(job)
+        assert job == {"command": "davenport", "ground": "[-2,3]"}
+        assert code == EXIT_OK and report["input"] == {"ground": "[-2,3]", "parameters": {}}
+        assert "stats" in report  # no_stats defaults to false
+        full = {"command": "davenport", "ground": "[-2,3]", "parameters": {},
+                "output": "json", "no_stats": False, "threads": 0}
+        _, explicit = run(full)
+        report["stats"]["elapsed_s"] = explicit["stats"]["elapsed_s"] = 0
+        assert report == explicit
+        job = {"command": "atoms", "ground": "[-2,2]", "parameters": {"length": 2}}
+        _, report = run(job)
+        report["input"]["parameters"]["length"] = 3
+        assert job["parameters"] == {"length": 2}
+
     def test_unknown_command_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "davenport")  # missing ground
         assert code == EXIT_USAGE
+
+
+def _subparsers(parser) -> dict:
+    """Command name -> its subparser."""
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def _own_flags(command: str) -> list[str]:
+    return ["--" + dest.replace("_", "-") for dest in COMMANDS[command][3]]
+
+
+class TestCommandTable:
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert stop.value.code == 0
+        for name, (_, help_line, _, _) in COMMANDS.items():
+            assert f"    {name}" in out and help_line in out, name
+        assert len(COMMANDS) == 9
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_lists_its_options(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert stop.value.code == 0
+        assert out.startswith(f"usage: davkit {command} ")
+        for flag in ["--format", "--no-stats", "--threads", "--emit-spec", *_own_flags(command)]:
+            assert f"  {flag}" in out, flag
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_parser_holds_only_the_commands_options(self, command):
+        # a process builds the options of the one command it runs
+        for name, parser in _subparsers(_build_parser(command)).items():
+            flags = {f for a in parser._actions for f in a.option_strings}
+            if name == command:
+                assert set(_own_flags(name)) <= flags
+            else:
+                assert flags == {"-h", "--help"}, name
 
 
 # the davkit modules whose code has run: the others are still lazy

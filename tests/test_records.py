@@ -25,7 +25,6 @@ from davkit import (
     ValidationError,
     atoms_of_length,
 )
-from davkit.cli import JobSpec
 from davkit.constructions import PowerCheckReport
 from davkit.inverse import InverseCheck
 from davkit.search import SearchStats
@@ -85,12 +84,8 @@ CASES = {
         lambda k: PowerCheckReport(2, 1 + k, 1 + k, True),
         ("base_length", "power", "zero_sum_subsequences", "ok"),
     ),
-    "JobSpec": (
-        lambda k: JobSpec("davenport", "[-2,3]", {"cap": 1 + k}),
-        ("command", "ground", "parameters", "output", "no_stats", "threads"),
-    ),
 }
-MUTABLE = ["SearchStats", "DavenportResult", "JobSpec"]
+MUTABLE = ["SearchStats", "DavenportResult"]
 FROZEN = [name for name in CASES if name not in MUTABLE]
 
 
@@ -153,13 +148,6 @@ def test_mutable_classes_are_unhashable(name):
     changed = next(f for f in fields if getattr(a, f) != getattr(c, f))
     setattr(b, changed, getattr(c, changed))
     assert b == c and b != a
-
-
-def test_each_job_spec_gets_its_own_parameters():
-    a, b = JobSpec("bounds"), JobSpec("bounds")
-    a.parameters["group"] = "C2"
-    assert b.parameters == {}
-    assert JobSpec("bounds", parameters=None).parameters == {}
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -46,15 +46,15 @@ def _canonical_key(s) -> tuple:
     return tuple((e.group_part, e.coords) for e in s.flatten())
 
 
-_parallel_task = _search._parallel_task
+_search_sequential = _search._search_sequential
 
 
-def _slow_after_root_zero(j0: int):
-    """A pool task whose roots after the first take seconds; a module-level
-    function, so that the pool can pickle it by name."""
-    if j0 >= 1:
+def _slow_after_root_zero(space, depth_cap, mode, lo=0, hi=None, progress=None):
+    """The search of a pool task, whose roots after the first take seconds;
+    the forked workers call it in place of the module's own."""
+    if lo >= 1:
         time.sleep(30)
-    return _parallel_task(j0)
+    return _search_sequential(space, depth_cap, mode, lo, hi, progress)
 
 
 class TestLengthBound:
@@ -223,7 +223,7 @@ class TestEarlyStop:
 
     def test_parallel_stop_does_not_wait_for_running_roots(self, monkeypatch):
         # root 0 reaches the depth; the roots after it would run for seconds
-        monkeypatch.setattr(_search, "_parallel_task", _slow_after_root_zero)
+        monkeypatch.setattr(_search, "_search_sequential", _slow_after_root_zero)
         ground = parse_ground_set("C6x[-1,1]")
         t0 = time.perf_counter()
         b = davenport(ground, threads=2)
@@ -254,24 +254,26 @@ class TestParallelStop:
     """A 'dav' pool that stops early lets its workers finish, never kills them."""
 
     def test_task_after_the_stop_searches_nothing(self, monkeypatch):
-        def search(j0):
+        def search(*args):
             raise AssertionError("a task after the stop searched")
 
-        monkeypatch.setattr(_search, "_parallel_task", search)
+        monkeypatch.setattr(_search, "_search_sequential", search)
+        monkeypatch.setattr(_search, "_worker", (None, 4, "dav"))
         monkeypatch.setattr(_search, "_stopped", True)
-        assert _search._stoppable_task(3) is None
+        assert _search._parallel_task(3) is None
         assert _search._running is False
 
     def test_stop_signal_ends_the_running_task(self, monkeypatch):
         # the handler, called as the signal would call it, mid-task
-        def search(j0):
+        def search(*args):
             assert _search._running
             _search._on_stop(None, None)
             raise AssertionError("the stop did not end the task")
 
-        monkeypatch.setattr(_search, "_parallel_task", search)
+        monkeypatch.setattr(_search, "_search_sequential", search)
+        monkeypatch.setattr(_search, "_worker", (None, 4, "dav"))
         monkeypatch.setattr(_search, "_stopped", False)
-        assert _search._stoppable_task(3) is None
+        assert _search._parallel_task(3) is None
         assert _search._stopped and not _search._running
 
     def test_stop_signal_between_tasks_only_marks_the_stop(self, monkeypatch):
@@ -281,7 +283,7 @@ class TestParallelStop:
 
     def test_early_stop_never_terminates_running_workers(self, monkeypatch):
         # root 0 reaches the depth; the roots after it would run for seconds
-        monkeypatch.setattr(_search, "_parallel_task", _slow_after_root_zero)
+        monkeypatch.setattr(_search, "_search_sequential", _slow_after_root_zero)
         Pool = multiprocessing.pool.Pool
         monkeypatch.setattr(Pool, "terminate", _terminate_only_when_idle(Pool.terminate))
         ground = parse_ground_set("C6x[-1,1]")
