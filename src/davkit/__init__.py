@@ -19,19 +19,19 @@ _EXPORTS = {
         "square_upper",
     ),
     "constructions": (
-        "MultiplicityProfile", "group_box_atom", "hypercube_atom", "interval_max_atom",
-        "power_subsequence_check", "profile", "two_element_atom",
+        "group_box_atom", "hypercube_atom", "interval_max_atom", "power_subsequence_check",
+        "two_element_atom",
     ),
     "core": (
         "Box", "CardinalityGuardError", "ConsistencyError", "DavkitError", "Element",
         "Explicit", "GroundSet", "GroupProduct", "GroupSpec", "GuardExceededError",
         "Interval", "MixedElement", "OverflowGuardError", "ParseError", "Sequence",
-        "ValidationError", "canonicalize", "emit_ground_set", "enumerate_elements",
-        "parse_ground_set", "parse_sequence",
+        "ValidationError", "emit_ground_set", "enumerate_elements", "parse_ground_set",
+        "parse_sequence",
     ),
     "inverse": (
-        "InverseCase", "InverseReport", "InverseVerdict", "classify_interval_max",
-        "classify_symmetric_max", "classify_symmetric_submax", "verify_inverse",
+        "InverseCase", "InverseReport", "classify_interval_max", "classify_symmetric_max",
+        "classify_symmetric_submax", "verify_inverse",
     ),
     "reorder": (
         "ContainmentReport", "ExtensionStuckError", "Ordering", "containment_check",
@@ -42,8 +42,8 @@ _EXPORTS = {
         "max_atoms",
     ),
     "zerosum": (
-        "StateSpaceCapError", "SubsumWitness", "atoms_brute", "find_proper_zero_subsum",
-        "is_minimal", "is_zero_sum",
+        "StateSpaceCapError", "atoms_brute", "find_proper_zero_subsum", "is_minimal",
+        "is_zero_sum",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

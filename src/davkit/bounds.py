@@ -33,26 +33,28 @@ from .core import (
 
 @record(frozen=True)
 class BoundReport:
-    """A proven bracket [lower, upper].  GuardExceededError when upper has
-    more bits than the bits guard allows, so that every bracket within
-    the default guard prints (see ``core.DEFAULT_BITS_CAP``)."""
+    """A proven bracket [lower, upper], exact when lower == upper.
+    GuardExceededError when upper has more bits than the bits guard
+    allows, so that every bracket within the default guard prints (see
+    ``core.DEFAULT_BITS_CAP``)."""
 
     lower: int
     upper: int
-    exact: bool
     provenance: tuple[str, ...]
 
-    def __init__(self, lower: int, upper: int, exact: bool, provenance: tuple[str, ...]):
+    def __init__(self, lower: int, upper: int, provenance: tuple[str, ...]):
         bits, cap = upper.bit_length(), resolve_guard(DEFAULT_BITS_CAP)
         if bits > cap:
             raise GuardExceededError(f"a bound of {bits} bits is above the guard of {cap}")
         if lower > upper:
             raise ValidationError(f"lower {lower} exceeds upper {upper}")
-        if exact and lower != upper:
-            raise ValidationError("exact report must have lower == upper")
         if not provenance:
             raise ValidationError("provenance must be nonempty")
-        self.__dict__.update(lower=lower, upper=upper, exact=exact, provenance=provenance)
+        self.__dict__.update(lower=lower, upper=upper, provenance=provenance)
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
     @property
     def value(self) -> int | None:
@@ -99,18 +101,13 @@ def interval_davenport(m: int, M: int) -> BoundReport:
     if m < 1 or M < 1:
         raise ValidationError("interval parameters must be >= 1")
     if gcd(m, M) == 1:
-        return BoundReport(m + M, m + M, True, ("interval-coprime-exact",))
+        return BoundReport(m + M, m + M, ("interval-coprime-exact",))
     if m == M:
         value = 2 * m - 1 if m >= 2 else 2
-        return BoundReport(value, value, True, ("symmetric-interval-exact",))
+        return BoundReport(value, value, ("symmetric-interval-exact",))
     lower = chi(range(-m, M + 1))
     upper = m + M - 1
-    return BoundReport(
-        lower,
-        upper,
-        lower == upper,
-        ("chi-pair-lower", "max-length-noncoprime-excluded"),
-    )
+    return BoundReport(lower, upper, ("chi-pair-lower", "max-length-noncoprime-excluded"))
 
 
 def box_upper(ms) -> int:
@@ -150,7 +147,7 @@ def hypercube_bounds(m: int, d: int) -> BoundReport:
     if d == 1:
         return interval_davenport(m, m)
     if d == 2 and m == 1:
-        return BoundReport(4, 4, True, ("unit-square-exact",))
+        return BoundReport(4, 4, ("unit-square-exact",))
     if d == 2:
         upper = square_upper(m, m)
         tags = ("hypercube-construction-lower", "rectangle-reorder-upper")
@@ -159,7 +156,7 @@ def hypercube_bounds(m: int, d: int) -> BoundReport:
         upper = box_upper([m] * d)
         tags = ("hypercube-construction-lower", "steinitz-box-upper")
     lower = (2 * m - 1 + _delta(m)) ** d
-    return BoundReport(lower, upper, lower == upper, tags)
+    return BoundReport(lower, upper, tags)
 
 
 def _ln_bracket(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
@@ -215,15 +212,13 @@ def group_davenport(G: GroupSpec) -> BoundReport:
     the logarithmic bound (1 + ln(|G|/exp G)) exp G."""
     lower = 1 + sum(n - 1 for n in G.factors)
     if G.is_cyclic:
-        return BoundReport(G.order, G.order, True, ("group-cyclic-exact",))
+        return BoundReport(G.order, G.order, ("group-cyclic-exact",))
     if G.rank <= 2:
-        return BoundReport(lower, lower, True, ("group-rank-two-exact",))
+        return BoundReport(lower, lower, ("group-rank-two-exact",))
     if G.is_p_group:
-        return BoundReport(lower, lower, True, ("group-p-group-exact",))
+        return BoundReport(lower, lower, ("group-p-group-exact",))
     upper = log_upper(G.order, G.exponent)
-    return BoundReport(
-        lower, upper, lower == upper, ("group-factor-sum-lower", "group-log-upper")
-    )
+    return BoundReport(lower, upper, ("group-factor-sum-lower", "group-log-upper"))
 
 
 # {0}, the set that a slice down to the zero element leaves: its one atom is 0
@@ -324,11 +319,11 @@ def ground_bounds(ground: GroundSet) -> BoundReport:
     above it."""
     ground = zero_slice(ground)
     if ground is None:
-        return BoundReport(0, 0, True, ("single-sign-no-atoms",))
+        return BoundReport(0, 0, ("single-sign-no-atoms",))
     if isinstance(ground, GroupProduct):
         return product_bounds(ground.group, ground.base)
     if ground == _ZERO:
-        return BoundReport(1, 1, True, ("zero-only-atom",))
+        return BoundReport(1, 1, ("zero-only-atom",))
     if isinstance(ground, Box) and ground.dim == 1:
         (lo, hi), = ground.intervals
         return interval_davenport(-lo, hi)
@@ -337,10 +332,10 @@ def ground_bounds(ground: GroundSet) -> BoundReport:
         return hypercube_bounds(*shape)
     if (vals := _line_values(ground)) is not None:
         lower, upper = chi(vals), _structural(ground)
-        return BoundReport(lower, upper, lower == upper, ("chi-pair-lower", "diameter-upper"))
+        return BoundReport(lower, upper, ("chi-pair-lower", "diameter-upper"))
     if ground.dim == 2:  # every subset of the enclosing box
-        return BoundReport(0, square_upper(*_half_widths(ground)), False, ("rectangle-reorder-upper",))
-    return BoundReport(0, _structural(ground), False, ("steinitz-box-upper",))
+        return BoundReport(0, square_upper(*_half_widths(ground)), ("rectangle-reorder-upper",))
+    return BoundReport(0, _structural(ground), ("steinitz-box-upper",))
 
 
 def product_bounds(G: GroupSpec, X: GroundSet) -> BoundReport:
@@ -362,4 +357,4 @@ def product_bounds(G: GroupSpec, X: GroundSet) -> BoundReport:
         tags.append("cyclic-product-cube-lower")
         if lower == upper:
             tags.append("cyclic-interval-product-exact")
-    return BoundReport(lower, upper, lower == upper, tuple(tags))
+    return BoundReport(lower, upper, tuple(tags))

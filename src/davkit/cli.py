@@ -67,14 +67,12 @@ def _print_progress(nodes: int, best: int) -> None:
 
 
 def _int_params(p: dict, *names: str) -> list[int]:
-    """The named parameters, ints as the parser read them; ValidationError
-    if one is missing or, in a job built by hand, is not an int."""
+    """The named parameters, ints as ``run`` checked them; ValidationError
+    if one is missing."""
     values = [p.get(name) for name in names]
     for name, value in zip(names, values):
         if value is None:
             raise ValidationError(f"missing --{name}")
-        if type(value) is not int:
-            raise ValidationError(f"--{name} must be an integer, got {value!r}")
     return values
 
 
@@ -132,7 +130,7 @@ def _cmd_check_minimal(p: dict, ground: GroundSet | None, threads: int):
         "sequence": sequence_to_json(s),
         "zero_sum": zero,
         "minimal": zero and witness is None,
-        "witness": sequence_to_json(witness.sub) if witness else None,
+        "witness": sequence_to_json(witness) if witness else None,
     }
     return EXIT_OK, payload, ["reachable-sum-dp"], True, None
 
@@ -217,7 +215,7 @@ _CONSTRUCTIONS = {
 
 def _cmd_construct(p: dict, ground: None, threads: int):
     kind = p.get("kind")
-    if type(kind) is not str or kind not in _CONSTRUCTIONS:  # a job's JSON may hold a list
+    if kind not in _CONSTRUCTIONS:
         raise ValidationError(f"unknown construction kind {kind!r}")
     function, names, provenance = _CONSTRUCTIONS[kind]
     s = getattr(_constructions, function)(*_int_params(p, *names))
@@ -234,13 +232,13 @@ def _cmd_classify(p: dict, ground: GroundSet | None, threads: int):
     (m,) = _int_params(p, "m")
     s = _parse_seq_param(p, ground)
     if p.get("M") is not None:
-        verdict = _inverse.classify_interval_max(m, *_int_params(p, "M"), s)
+        case = _inverse.classify_interval_max(m, *_int_params(p, "M"), s)
         which = "interval-max"
     elif s.length == 2 * m - 1:
-        verdict = _inverse.classify_symmetric_max(m, s)
+        case = _inverse.classify_symmetric_max(m, s)
         which = "symmetric-max"
     elif s.length == 2 * m - 2:
-        verdict = _inverse.classify_symmetric_submax(m, s)
+        case = _inverse.classify_symmetric_submax(m, s)
         which = "symmetric-submax"
     else:
         raise ValidationError(
@@ -248,8 +246,8 @@ def _cmd_classify(p: dict, ground: GroundSet | None, threads: int):
         )
     payload = {
         "classifier": which,
-        "matches": verdict.matches,
-        "case": verdict.case.value,
+        "matches": case is not _inverse.InverseCase.NONE,
+        "case": case.value,
     }
     return EXIT_OK, payload, ["inverse-classification"], True, None
 
@@ -372,16 +370,48 @@ COMMANDS = {
 }
 
 
+# a job field -> the types its JSON value may have
+_JOB_TYPES = {"ground": (str, type(None)), "parameters": (dict,), "no_stats": (bool,)}
+
+
+def _check_job(job) -> None:
+    """ValidationError unless ``job`` is an object naming a command of the
+    table, its fields have their types, and its parameters are options of
+    that command, each of its option's kind: an int for a number, a bool
+    for a flag, else a string."""
+    if type(job) is not dict:
+        raise ValidationError(f"a job is a JSON object, got {job!r}")
+    command = job.get("command")
+    if type(command) is not str or command not in COMMANDS:
+        raise ValidationError(f"unknown command {command!r}")
+    for field, types in _JOB_TYPES.items():
+        if field in job and type(job[field]) not in types:
+            raise ValidationError(f"job field {field!r} has the wrong type: {job[field]!r}")
+    options = COMMANDS[command][3]
+    for name, value in job.get("parameters", {}).items():
+        if name not in options:
+            raise ValidationError(f"command {command!r} has no option --{name}")
+        keywords = options[name]
+        if keywords.get("type") is _integer:
+            kind, ok = "an integer", type(value) is int
+        elif keywords.get("action") == "store_true":
+            kind, ok = "true or false", type(value) is bool
+        else:
+            kind, ok = "a string", type(value) is str
+        if not ok:
+            raise ValidationError(f"--{name} must be {kind}, got {value!r}")
+
+
 def run(job: dict) -> tuple[int, dict]:
     """Run a job and build the full report envelope.
 
     A job is the JSON object that ``--emit-spec`` prints.  Only its
     ``command`` is required: ``ground`` defaults to None, ``parameters``
     to {}, ``output`` to "json", ``no_stats`` to false and ``threads`` to
-    0 (auto).  The job itself is not changed."""
-    command = job.get("command")
-    if command not in COMMANDS:
-        raise ValidationError(f"unknown command {command!r}")
+    0 (auto).  ``_check_job`` checks it against the command table first.
+    The job itself is not changed."""
+    _check_job(job)
+    command = job["command"]
     output = job.get("output", "json")
     if output not in ("json", "csv", "text"):
         raise ValidationError(f"unknown output format {output!r}")
@@ -394,7 +424,7 @@ def run(job: dict) -> tuple[int, dict]:
     if text is None and takes_ground == "required":
         raise ValidationError(f"command {command!r} needs a ground set")
     ground = None if text is None or takes_ground == "none" else parse_ground_set(text)
-    parameters = dict(job.get("parameters") or {})
+    parameters = dict(job.get("parameters", {}))
     code, result, provenance, exact, stats = handler(parameters, ground, threads)
     report = {
         "schema": SCHEMA,

@@ -40,25 +40,10 @@ from .core import (
     record,
     resolve_guard,
 )
-from .zerosum import is_minimal
+from .zerosum import certified
 
 #: Above this length, constructions are returned uncertified.
 CERTIFY_LENGTH_CAP = 200
-
-
-@record(frozen=True)
-class MultiplicityProfile:
-    """Distinct supports of a sequence with their repeat counts."""
-
-    supports: tuple
-    mults: tuple[int, ...]
-
-    @property
-    def mult_gcd(self) -> int:
-        g = 0
-        for m in self.mults:
-            g = gcd(g, m)
-        return g
 
 
 def is_certifiable(s: Sequence) -> bool:
@@ -66,16 +51,7 @@ def is_certifiable(s: Sequence) -> bool:
 
 
 def _certify(s: Sequence, what: str, certify: bool) -> Sequence:
-    if certify and is_certifiable(s):
-        if not is_minimal(s):
-            raise ConsistencyError(f"{what} failed its minimality certificate: {s}")
-    return s
-
-
-def profile(s: Sequence) -> MultiplicityProfile:
-    return MultiplicityProfile(
-        tuple(e for e, _ in s.entries), tuple(m for _, m in s.entries)
-    )
+    return certified(s, what) if certify and is_certifiable(s) else s
 
 
 def two_element_atom(x: int, y: int, certify: bool = True) -> Sequence:
@@ -142,8 +118,8 @@ def hypercube_atom(m: int, d: int, certify: bool = True) -> Sequence:
             f"hypercube atom length {s.length}, expected {expected}"
         )
     if m >= 2:
-        prof = profile(s)
-        if len(prof.supports) != d + 1 or prof.mult_gcd != 1:
+        mults = [a for _, a in s.entries]
+        if len(mults) != d + 1 or gcd(*mults) != 1:
             raise ConsistencyError("hypercube atom lost its multiplicity profile")
     return _certify(s, f"hypercube atom ({m},{d})", certify)
 
@@ -185,17 +161,17 @@ def group_box_atom(n: int, m: int, d: int, certify: bool = True) -> Sequence:
     if n < 1:
         raise ValidationError("cyclic order must be >= 1")
     base = hypercube_atom(m, d, certify=False)
-    prof = profile(base)
+    mults = [a for _, a in base.entries]
     if m == 1:
         ones = Element((1,) * d)
-        weights = [1 if u == ones else 0 for u in prof.supports]
+        weights = [1 if u == ones else 0 for u, _ in base.entries]
     else:
-        weights = _bezout_weights(list(prof.mults))
-        if sum(w * a for w, a in zip(weights, prof.mults)) != 1:
+        weights = _bezout_weights(mults)
+        if sum(w * a for w, a in zip(weights, mults)) != 1:
             raise ConsistencyError("weight relation failed")
     group = GroupSpec((n,)) if n >= 2 else GroupSpec(())
     pairs = []
-    for u, a, w in zip(prof.supports, prof.mults, weights):
+    for (u, a), w in zip(base.entries, weights):
         residue = (w % n,) if n >= 2 else ()
         pairs.append((MixedElement(group, residue, u), n * a))
     s = Sequence.from_pairs(pairs)
@@ -207,8 +183,6 @@ def group_box_atom(n: int, m: int, d: int, certify: bool = True) -> Sequence:
 
 @record(frozen=True)
 class PowerCheckReport:
-    base_length: int
-    power: int
     zero_sum_subsequences: int
     ok: bool
 
@@ -244,4 +218,4 @@ def power_subsequence_check(m: int, d: int, u: int) -> PowerCheckReport:
         if any(sums):
             continue
         found.add(Sequence.from_pairs(zip(supports, counts)))
-    return PowerCheckReport(base.length, u, len(found), found == expected)
+    return PowerCheckReport(len(found), found == expected)

@@ -501,11 +501,6 @@ class Sequence:
         return "*".join(parts)
 
 
-def canonicalize(sequence: Sequence) -> Sequence:
-    """Rebuild the canonical form; idempotent, preserves length and sum."""
-    return Sequence.from_pairs(sequence.entries)
-
-
 # ---------------------------------------------------------------------------
 # ground sets
 

@@ -13,6 +13,9 @@ analysis is re-derived:
       - m odd: m^(m-2) * (-(m-2))^m, or its mirror,
       - m^(m-2) * (-(m-1))^(m-1) * 1, or its mirror.
 
+Each classifier returns the ``InverseCase`` of the template that the
+sequence equals, or ``InverseCase.NONE`` when it equals none.
+
 The verifier re-derives each list by exhaustive atom enumeration and
 reports any discrepancy as a hard failure: a mismatch would contradict a
 proved statement, so it can only mean an implementation bug.
@@ -36,20 +39,6 @@ class InverseCase(str, Enum):
     SUBMAX_UNIT_POS = "SUBMAX_UNIT_POS"
     SUBMAX_UNIT_NEG = "SUBMAX_UNIT_NEG"
     NONE = "NONE"
-
-
-@record(frozen=True)
-class InverseVerdict:
-    matches: bool
-    case: InverseCase
-
-    def __init__(self, matches: bool, case: InverseCase):
-        if matches != (case is not InverseCase.NONE):
-            raise ValidationError("verdict flag inconsistent with its case tag")
-        self.__dict__.update(matches=matches, case=case)
-
-
-_NO_MATCH = InverseVerdict(False, InverseCase.NONE)
 
 
 def _check_sequence(s: Sequence, length: int, lo: int, hi: int) -> None:
@@ -82,45 +71,51 @@ def symmetric_submax_templates(m: int) -> dict[InverseCase, Sequence]:
     return out
 
 
-def classify_interval_max(m: int, M: int, s: Sequence) -> InverseVerdict:
+def classify_interval_max(m: int, M: int, s: Sequence) -> InverseCase:
     """Classify a length-(m+M) sequence over [-m, M]: it is minimal iff
     gcd(m, M) = 1 and it equals M^m * (-m)^M."""
     if m < 1 or M < 1:
         raise ValidationError("interval parameters must be >= 1")
     _check_sequence(s, m + M, -m, M)
     if gcd(m, M) == 1 and s == Sequence.from_pairs([(M, m), (-m, M)]):
-        return InverseVerdict(True, InverseCase.INTERVAL_MAX)
-    return _NO_MATCH
+        return InverseCase.INTERVAL_MAX
+    return InverseCase.NONE
 
 
-def classify_symmetric_max(m: int, s: Sequence) -> InverseVerdict:
+def classify_symmetric_max(m: int, s: Sequence) -> InverseCase:
     if m < 2:
         raise ValidationError("need m >= 2")
     _check_sequence(s, 2 * m - 1, -m, m)
     pos, neg = symmetric_max_templates(m)
     if s == pos:
-        return InverseVerdict(True, InverseCase.SYM_MAX_POS)
+        return InverseCase.SYM_MAX_POS
     if s == neg:
-        return InverseVerdict(True, InverseCase.SYM_MAX_NEG)
-    return _NO_MATCH
+        return InverseCase.SYM_MAX_NEG
+    return InverseCase.NONE
 
 
-def classify_symmetric_submax(m: int, s: Sequence) -> InverseVerdict:
+def classify_symmetric_submax(m: int, s: Sequence) -> InverseCase:
     if m < 3:
         raise ValidationError("need m >= 3")
     _check_sequence(s, 2 * m - 2, -m, m)
     for case, template in symmetric_submax_templates(m).items():
         if s == template:
-            return InverseVerdict(True, case)
-    return _NO_MATCH
+            return case
+    return InverseCase.NONE
 
 
 @record(frozen=True)
 class InverseCheck:
+    """The sorted texts of the atoms a classification lists (``expected``)
+    and of those the search finds (``found``)."""
+
     name: str
-    ok: bool
     expected: tuple[str, ...]
     found: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return self.expected == self.found
 
 
 @record(frozen=True)
@@ -158,7 +153,6 @@ def verify_inverse(ms, threads: int = 1) -> InverseReport:
         checks.append(
             InverseCheck(
                 name,
-                set(found) == expected,
                 tuple(sorted(str(t) for t in expected)),
                 tuple(sorted(str(t) for t in found)),
             )

@@ -241,7 +241,6 @@ from time import perf_counter
 from . import bounds as _bounds
 from .bounds import length_bound
 from .core import (
-    ConsistencyError,
     Element,
     Explicit,
     GroundSet,
@@ -251,7 +250,7 @@ from .core import (
     enumerate_elements,
     record,
 )
-from .zerosum import is_minimal
+from .zerosum import certified
 
 
 @record
@@ -469,9 +468,7 @@ class _Space:
         """The atom with these multiplicities over ``elems``, re-certified by
         ``is_minimal`` (ConsistencyError if the certificate fails)."""
         atom = Sequence.from_pairs((self.elems[i], c) for i, c in enumerate(counts) if c)
-        if not is_minimal(atom):
-            raise ConsistencyError(f"search atom failed its minimality certificate: {atom}")
-        return atom
+        return certified(atom, "search atom")
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,11 @@ from math import comb
 
 from .core import (
     DEFAULT_SCAN_CAP,
+    ConsistencyError,
     Element,
     GuardExceededError,
     Sequence,
     ValidationError,
-    record,
     resolve_guard,
 )
 
@@ -59,13 +59,6 @@ DEFAULT_STATE_CAP = 1 << 28
 
 class StateSpaceCapError(GuardExceededError):
     """The masks of the minimality DP would exceed their guard."""
-
-
-@record(frozen=True)
-class SubsumWitness:
-    """A nonempty proper zero-sum sub-multiset certifying non-minimality."""
-
-    sub: Sequence
 
 
 def _sum_ops(s: Sequence):
@@ -212,8 +205,9 @@ class _Box:
         return counts
 
 
-def find_proper_zero_subsum(s: Sequence) -> SubsumWitness | None:
-    """One nonempty proper zero-sum sub-multiset of ``s``, or None.
+def find_proper_zero_subsum(s: Sequence) -> Sequence | None:
+    """One nonempty proper zero-sum sub-multiset of ``s``, the witness
+    that ``s`` is not minimal, or None.
 
     Deterministic: of the zero-sum selections whose last support comes
     first, the one with the lexicographically smallest count vector.
@@ -225,7 +219,7 @@ def find_proper_zero_subsum(s: Sequence) -> SubsumWitness | None:
     if i is None:
         return None
     counts = box.lex_min_counts(i)
-    return SubsumWitness(Sequence.from_pairs((e, c) for (e, _), c in zip(s.entries, counts)))
+    return Sequence.from_pairs((e, c) for (e, _), c in zip(s.entries, counts))
 
 
 def is_minimal(s: Sequence) -> bool:
@@ -233,6 +227,14 @@ def is_minimal(s: Sequence) -> bool:
     if not s.entries:
         raise ValidationError("empty sequence")
     return s.total.is_zero and _Box(s).first_hit() is None
+
+
+def certified(s: Sequence, what: str) -> Sequence:
+    """``s``, once ``is_minimal`` certifies that it is an atom;
+    ConsistencyError naming ``what`` if it is not."""
+    if not is_minimal(s):
+        raise ConsistencyError(f"{what} failed its minimality certificate: {s}")
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from davkit import (
+    BoundReport,
     GroupSpec,
     GuardExceededError,
     ValidationError,
@@ -205,6 +206,13 @@ class TestGroundBounds:
     def test_shapes(self, text, lower, upper):
         r = ground_bounds(parse_ground_set(text))
         assert (r.lower, r.upper) == (lower, upper)
+
+    def test_exact_means_lower_equals_upper(self):
+        # exact and value are read from the bracket, never stored beside it
+        assert BoundReport(3, 3, ("tag",)).exact and BoundReport(3, 3, ("tag",)).value == 3
+        assert not BoundReport(2, 3, ("tag",)).exact and BoundReport(2, 3, ("tag",)).value is None
+        with pytest.raises(ValidationError, match="exceeds upper"):
+            BoundReport(4, 3, ("tag",))
 
     def test_search_value_falls_inside_bracket(self):
         for text in ["[-2,3]", "[-3,3]", "{-3,1,2}", "C2x[-1,1]", "[-1,1]^2"]:

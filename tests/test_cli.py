@@ -9,6 +9,7 @@ import davkit
 from davkit import DavkitError, ValidationError, ground_bounds, parse_ground_set
 from davkit import cli as _cli
 from davkit import search as _search
+from davkit import zerosum as _zerosum
 from davkit.cli import (
     COMMANDS,
     EXIT_BROKEN_PIPE,
@@ -72,7 +73,7 @@ class TestDavenportCommand:
         assert report["provenance"] == ["exhaustive-search-capped", *bounds.provenance]
 
     def test_failed_witness_certificate_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(_search, "is_minimal", lambda s: False)
+        monkeypatch.setattr(_zerosum, "is_minimal", lambda s: False)
         code, out, err = run_cli(capsys, "davenport", "[-2,3]", "--no-stats")
         assert code == EXIT_CONSISTENCY
         assert out == "" and "minimality certificate" in err
@@ -301,6 +302,34 @@ class TestErrorsAndSpec:
         # a job built by hand carries what it is given: no int() here
         with pytest.raises(ValidationError, match="--length must be an integer"):
             run({"command": "atoms", "ground": "[-2,2]", "parameters": {"length": "3"}})
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            [1],
+            "davenport",
+            {"command": ["x"]},
+            {"command": "davenport", "ground": 5},
+            {"command": "check-minimal", "parameters": {"seq": 3}},
+            {"command": "bounds", "parameters": {"group": 2}},
+            {"command": "verify", "parameters": {"inverse": True, "m": 3}},
+            {"command": "reorder", "parameters": {"seq": "3*(-3)", "seed_element": 3}},
+            {"command": "davenport", "ground": "[-2,3]", "parameters": [1]},
+            {"command": "davenport", "ground": "[-2,3]", "no_stats": "yes"},
+            {"command": "davenport", "ground": "[-2,3]", "parameters": {"cpa": 3}},
+            {"command": "davenport", "ground": "[-2,3]", "parameters": {"cap": True}},
+            {"command": "atoms", "ground": "[-2,2]", "parameters": {"length": 2.0}},
+            {"command": "verify", "parameters": {"inverse": "yes"}},
+            {"command": "construct", "parameters": {"kind": ["hypercube"], "m": 2, "d": 2}},
+        ],
+        ids=["not-an-object", "a-string", "command-list", "ground-int", "seq-int", "group-int",
+             "m-range-int", "seed-element-int", "parameters-list", "no-stats-string",
+             "misspelt-option", "cap-bool", "length-float", "flag-string", "kind-list"],
+    )
+    def test_job_with_a_wrong_type_is_validation_error(self, job):
+        # a job file is checked against the command table before it runs
+        with pytest.raises(ValidationError):
+            run(job)
 
     def test_every_davkit_error_exits_with_a_documented_code(self, capsys, monkeypatch):
         # each error class that a davkit module defines, raised inside a job

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from davkit import (
@@ -11,7 +13,6 @@ from davkit import (
     is_minimal,
     is_zero_sum,
     power_subsequence_check,
-    profile,
     two_element_atom,
 )
 
@@ -80,24 +81,27 @@ class TestHypercubeAtom:
                 assert all(-m <= c <= m for c in e.coords)
 
     def test_profile_gcd_one(self):
+        # d + 1 supports whose multiplicities are coprime as a family
         for m in range(2, 5):
             for d in range(1, 4):
-                prof = profile(hypercube_atom(m, d, certify=False))
-                assert len(prof.supports) == d + 1
-                assert prof.mult_gcd == 1
+                mults = [a for _, a in hypercube_atom(m, d, certify=False).entries]
+                assert len(mults) == d + 1
+                assert gcd(*mults) == 1
 
 
 class TestProfile:
+    """The multiplicities that ``group_box_atom`` reads from the entries."""
+
     def test_base_case(self):
-        prof = profile(S({3: 2, -2: 3}))
-        assert set(prof.mults) == {2, 3} and prof.mult_gcd == 1
+        mults = [a for _, a in S({3: 2, -2: 3}).entries]
+        assert sorted(mults) == [2, 3] and gcd(*mults) == 1
 
     def test_plane_case(self):
-        prof = profile(hypercube_atom(2, 2, certify=False))
-        assert sorted(prof.mults) == [1, 2, 6]
+        atom = hypercube_atom(2, 2, certify=False)
+        assert sorted(a for _, a in atom.entries) == [1, 2, 6]
 
     def test_pair(self):
-        assert profile(S({1: 1, -1: 1})).mults == (1, 1)
+        assert [a for _, a in S({1: 1, -1: 1}).entries] == [1, 1]
 
 
 class TestPowerSubsequenceCheck:

@@ -11,7 +11,7 @@ from davkit import (
     is_minimal,
     verify_inverse,
 )
-from davkit.inverse import InverseCase, symmetric_submax_templates
+from davkit.inverse import InverseCase, InverseCheck, symmetric_submax_templates
 
 from conftest import S
 
@@ -29,18 +29,16 @@ _MIRROR = {
 
 class TestClassifyIntervalMax:
     def test_the_unique_max_atom(self):
-        v = classify_interval_max(2, 3, S({3: 2, -2: 3}))
-        assert v.matches and v.case is InverseCase.INTERVAL_MAX
+        assert classify_interval_max(2, 3, S({3: 2, -2: 3})) is InverseCase.INTERVAL_MAX
 
     def test_non_minimal_same_length(self):
         s = S({3: 1, 2: 1, -1: 1, -2: 2})
-        v = classify_interval_max(2, 3, s)
-        assert not v.matches and not is_minimal(s)
+        assert classify_interval_max(2, 3, s) is InverseCase.NONE and not is_minimal(s)
 
     def test_non_coprime_never_matches(self):
         for s in [S({4: 2, -2: 4}), S({4: 1, 2: 1, -2: 3, 1: 0, -1: 0, 3: 1})]:
             if s.length == 6:
-                assert not classify_interval_max(2, 4, s).matches
+                assert classify_interval_max(2, 4, s) is InverseCase.NONE
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValidationError):
@@ -53,39 +51,31 @@ class TestClassifyIntervalMax:
 
 class TestClassifySymmetricMax:
     def test_positive_and_mirror(self):
-        assert classify_symmetric_max(3, S({3: 2, -2: 3})).case is InverseCase.SYM_MAX_POS
-        assert classify_symmetric_max(3, S({-3: 2, 2: 3})).case is InverseCase.SYM_MAX_NEG
+        assert classify_symmetric_max(3, S({3: 2, -2: 3})) is InverseCase.SYM_MAX_POS
+        assert classify_symmetric_max(3, S({-3: 2, 2: 3})) is InverseCase.SYM_MAX_NEG
 
     def test_non_minimal_candidate(self):
         s = S({3: 1, 2: 1, -2: 2, -1: 1})
-        v = classify_symmetric_max(3, s)
-        assert not v.matches and not is_minimal(s)
+        assert classify_symmetric_max(3, s) is InverseCase.NONE and not is_minimal(s)
 
 
 class TestClassifySymmetricSubmax:
     def test_odd_m_two_support_case(self):
-        assert (
-            classify_symmetric_submax(3, S({3: 1, -1: 3})).case
-            is InverseCase.SUBMAX_PAIR_POS
-        )
+        assert classify_symmetric_submax(3, S({3: 1, -1: 3})) is InverseCase.SUBMAX_PAIR_POS
 
     def test_unit_case(self):
-        assert (
-            classify_symmetric_submax(4, S({4: 2, -3: 3, 1: 1})).case
-            is InverseCase.SUBMAX_UNIT_POS
-        )
+        assert classify_symmetric_submax(4, S({4: 2, -3: 3, 1: 1})) is InverseCase.SUBMAX_UNIT_POS
 
     def test_even_m_has_no_two_support_case(self):
         # for even m the would-be pair template is not even zero-sum
         assert InverseCase.SUBMAX_PAIR_POS not in symmetric_submax_templates(4)
-        v = classify_symmetric_submax(4, S({4: 2, -2: 4}))
-        assert not v.matches
+        assert classify_symmetric_submax(4, S({4: 2, -2: 4})) is InverseCase.NONE
 
     def test_mirror_coherence(self):
         for m in (3, 4, 5):
             for case, template in symmetric_submax_templates(m).items():
-                assert classify_symmetric_submax(m, template).case is case
-                assert classify_symmetric_submax(m, template.neg()).case is _MIRROR[case]
+                assert classify_symmetric_submax(m, template) is case
+                assert classify_symmetric_submax(m, template.neg()) is _MIRROR[case]
 
 
 class TestSoundnessBothWays:
@@ -99,18 +89,18 @@ class TestSoundnessBothWays:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_maximal_length(self, m):
         for s in self._multisets(m, 2 * m - 1):
-            assert classify_symmetric_max(m, s).matches == is_minimal(s)
+            assert (classify_symmetric_max(m, s) is not InverseCase.NONE) == is_minimal(s)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_near_maximal_length(self, m):
         for s in self._multisets(m, 2 * m - 2):
-            assert classify_symmetric_submax(m, s).matches == is_minimal(s)
+            assert (classify_symmetric_submax(m, s) is not InverseCase.NONE) == is_minimal(s)
 
     @pytest.mark.parametrize("m,M", [(2, 3), (3, 4)])
     def test_interval_maximal_length(self, m, M):
         for combo in itertools.combinations_with_replacement(range(-m, M + 1), m + M):
             s = Sequence.from_elements(combo)
-            assert classify_interval_max(m, M, s).matches == is_minimal(s)
+            assert (classify_interval_max(m, M, s) is not InverseCase.NONE) == is_minimal(s)
 
 
 class TestVerifyInverse:
@@ -131,6 +121,11 @@ class TestVerifyInverse:
         pair_check = [c for c in report.checks if c.name == "[-3,4] length 7"]
         assert pair_check and pair_check[0].ok
         assert pair_check[0].found == ("(-3)^4*4^3",)
+
+    def test_check_passes_only_on_equal_listings(self):
+        assert InverseCheck("c", ("a", "b"), ("a", "b")).ok
+        assert not InverseCheck("c", ("a", "b"), ("a",)).ok
+        assert not InverseCheck("c", ("a",), ("a", "a")).ok  # a repeated atom fails
 
     def test_full_range_passes(self):
         assert verify_inverse([2, 3, 4, 5]).ok

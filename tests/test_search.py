@@ -348,9 +348,9 @@ class TestAtomsOfLength:
     )
     def test_listed_atoms_are_certified(self, monkeypatch, listing):
         from davkit import ConsistencyError
-        from davkit import search as _search
+        from davkit import zerosum as _zerosum
 
-        monkeypatch.setattr(_search, "is_minimal", lambda s: False)
+        monkeypatch.setattr(_zerosum, "is_minimal", lambda s: False)
         with pytest.raises(ConsistencyError, match="minimality certificate"):
             listing()
 

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from davkit import (
+    ConsistencyError,
     Element,
     GroupSpec,
     GuardExceededError,
@@ -19,7 +20,7 @@ from davkit import (
     parse_sequence,
 )
 from davkit.cli import EXIT_GUARD, main
-from davkit.zerosum import is_minimal_scan, proper_zero_subsum_scan
+from davkit.zerosum import certified, is_minimal_scan, proper_zero_subsum_scan
 
 from conftest import S
 
@@ -58,18 +59,17 @@ class TestFindProperZeroSubsum:
         assert find_proper_zero_subsum(S({3: 2, -2: 3})) is None
 
     def test_plus_minus_pair(self):
-        w = find_proper_zero_subsum(S({2: 2, -2: 1, 1: 1, -1: 1}))
-        assert w is not None
-        sub = w.sub
+        sub = find_proper_zero_subsum(S({2: 2, -2: 1, 1: 1, -1: 1}))
+        assert sub is not None
         assert sub.total.is_zero and 0 < sub.length < 5
 
     def test_non_coprime_power(self):
         # 4^2*(-2)^4 contains 4*(-2)^2 (verified by the independent scan below)
         s = S({4: 2, -2: 4})
-        w = find_proper_zero_subsum(s)
-        assert w is not None
-        assert w.sub.total.is_zero
-        assert contains_sub(s, w.sub) and w.sub != s
+        sub = find_proper_zero_subsum(s)
+        assert sub is not None
+        assert sub.total.is_zero
+        assert contains_sub(s, sub) and sub != s
         assert proper_zero_subsum_scan(s) is not None
 
     def test_witness_is_deterministic(self):
@@ -93,8 +93,13 @@ class TestIsMinimal:
 
     def test_unit_power(self):
         assert not is_minimal(S({1: 4, -2: 2}))
-        w = find_proper_zero_subsum(S({1: 4, -2: 2}))
-        assert w.sub == S({1: 2, -2: 1})
+        assert find_proper_zero_subsum(S({1: 4, -2: 2})) == S({1: 2, -2: 1})
+
+    def test_certified_returns_the_atom_or_names_what_failed(self):
+        atom = S({3: 2, -2: 3})
+        assert certified(atom, "an atom") is atom
+        with pytest.raises(ConsistencyError, match=r"a pair failed its minimality certificate: \(-1\)\^2\*1\^2"):
+            certified(S({1: 2, -1: 2}), "a pair")
 
     def test_group_scale(self):
         # residue 2 repeated twice in C4: the only zero-sum selection is full
@@ -219,7 +224,7 @@ def test_witness_is_the_reference_order():
         s = random_sequence(rng, dim, GROUPS[case // 3 % 3], rng.randint(2, 8 if dim == 1 else 6))
         want = reference_witness(s)
         got = find_proper_zero_subsum(s)
-        assert (got and got.sub) == want, str(s)
+        assert got == want, str(s)
         found += want is not None
     assert 200 < found < 800  # both verdicts are exercised
 
@@ -239,8 +244,8 @@ def test_dp_agrees_with_scan_randomised():
         scan = proper_zero_subsum_scan(s)
         assert (dp is None) == (scan is None)
         if dp is not None:
-            assert dp.sub.total.is_zero
-            assert contains_sub(s, dp.sub) and dp.sub != s and dp.sub.length > 0
+            assert dp.total.is_zero
+            assert contains_sub(s, dp) and dp != s and dp.length > 0
         if is_zero_sum(s):
             assert is_minimal(s) == is_minimal_scan(s)
 
