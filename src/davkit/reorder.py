@@ -21,6 +21,8 @@ the interval).
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .core import Sequence, ValidationError, record
 
 
@@ -32,7 +34,7 @@ class ExtensionStuckError(ValidationError):
 
 @record(frozen=True)
 class Ordering:
-    """A permutation of a flattened sequence with its prefix sums.
+    """A permutation of a flattened sequence and its elements in that order.
 
     ``perm`` holds 0-based positions into the canonical flattening
     (elements in canonical order, multiplicities expanded).  For 1-d
@@ -42,7 +44,12 @@ class Ordering:
 
     perm: tuple[int, ...]
     elements: tuple
-    prefix_sums: tuple
+
+    @property
+    def prefix_sums(self) -> tuple:
+        if self.elements and type(self.elements[0]) is tuple:
+            return tuple(accumulate(self.elements, lambda a, b: tuple(x + y for x, y in zip(a, b))))
+        return tuple(accumulate(self.elements))
 
 
 @record(frozen=True)
@@ -57,16 +64,6 @@ def _flatten_1d(s: Sequence) -> list[int]:
     if s.is_mixed or s.dim != 1:
         raise ValidationError("orderings over the integers need a 1-d lattice sequence")
     return [e.coords[0] for e in s.flatten()]
-
-
-def _ordering_from_perm(values: list[int], perm: list[int]) -> Ordering:
-    chosen = [values[p] for p in perm]
-    sums = []
-    acc = 0
-    for v in chosen:
-        acc += v
-        sums.append(acc)
-    return Ordering(tuple(perm), tuple(chosen), tuple(sums))
 
 
 def is_nyctalopic(s: Sequence, perm, k: int | None = None) -> bool:
@@ -129,7 +126,7 @@ def nyctalopic_extend(s: Sequence, seed) -> Ordering:
         perm.append(nxt)
         used.add(nxt)
         acc += values[nxt]
-    return _ordering_from_perm(values, perm)
+    return Ordering(tuple(perm), tuple(values[p] for p in perm))
 
 
 def containment_check(s: Sequence, ordering: Ordering, lo: int, hi: int) -> ContainmentReport:
@@ -189,12 +186,5 @@ def greedy_box_reorder(s: Sequence) -> tuple[Ordering, tuple[tuple[int, int], ..
         (min(pref[c] for pref in prefixes), max(pref[c] for pref in prefixes))
         for c in range(d)
     )
-    if d == 1:
-        ordering = Ordering(
-            tuple(perm),
-            tuple(flat[p][0] for p in perm),
-            tuple(pref[0] for pref in prefixes),
-        )
-    else:
-        ordering = Ordering(tuple(perm), tuple(flat[p] for p in perm), tuple(prefixes))
-    return ordering, box
+    elements = tuple(flat[p][0] if d == 1 else flat[p] for p in perm)
+    return Ordering(tuple(perm), elements), box

@@ -60,8 +60,8 @@ CASES = {
     ),
     "InverseReport": (lambda k: InverseReport((InverseCheck("c", (), ("a",)[:k]),)), ("checks",)),
     "Ordering": (
-        lambda k: Ordering((1, 0), (-1 - k, 1 + k), (-1 - k, 0)),
-        ("perm", "elements", "prefix_sums"),
+        lambda k: Ordering((1, 0), (-1 - k, 1 + k)),
+        ("perm", "elements"),
     ),
     "ContainmentReport": (
         lambda k: ContainmentReport(-1 - k, 1, True, False),
